@@ -116,12 +116,14 @@ pub struct GatewayConfig {
     /// shedding it outright. Shedding (false) is the conservative
     /// policy: the tenant is told exactly why via a typed error.
     pub revalidate_on_reorg: bool,
-    /// Host worker threads draining bundles in parallel on
-    /// pool-eligible devices (clamped to at least 1). The schedule and
+    /// Host worker threads of the threaded executor (clamped to at
+    /// least 1). Devices that execute serially — ORAM devices, armed
+    /// page-store/ORAM-server faults — ignore it. The schedule and
     /// every digest are identical for any value — workers change host
-    /// wall-clock time only — so this is purely a throughput knob. It
-    /// is also the divisor in `retry_after` hints: the honest drain
-    /// rate, where the nominal `hevm_count` used to overpromise.
+    /// wall-clock time only — so this is purely a throughput knob. On
+    /// the threaded executor it is also the divisor in `retry_after`
+    /// hints: the honest drain rate, where the nominal `hevm_count`
+    /// used to overpromise.
     pub workers: usize,
 }
 

@@ -36,17 +36,16 @@
 //!   the last attested head with an explicit [`StalenessBound`] stamped
 //!   on every affected report.
 //!
-//! * **Worker-pool execution** — on pool-eligible devices (no ORAM)
-//!   each round runs in three phases: a sequential *prepare* pass
-//!   (the DRR loop, channel delivery, admission — everything on the
-//!   shared clock), a parallel *execute* pass fanning the round's
-//!   bundles across [`GatewayConfig::workers`] host threads (each
-//!   against a private virtual clock), and a sequential *commit* pass
-//!   replaying every task onto the shared timeline in dispatch order.
+//! * **One dispatch pipeline** — every served bundle runs the device's
+//!   *prepare* → *execute* → *commit* steps. ORAM devices execute
+//!   serially on the shared clock, each bundle committed before the
+//!   next DRR pick; every other device fans the round's prepared tasks
+//!   across [`GatewayConfig::workers`] host threads (each against a
+//!   private virtual clock) and commits them in dispatch order.
 //!   Virtual time stays serialized, so the schedule — and every
 //!   digest — is byte-identical for 1 and N workers; only host
-//!   wall-clock time shrinks. Completions are merged into a single
-//!   deterministic global order by [`merge_completions`].
+//!   wall-clock time shrinks. Threaded rounds merge their completions
+//!   into one deterministic order with [`merge_completions`].
 //!
 //! Everything is driven by the deterministic virtual clock, so a given
 //! seed and submission sequence produces a byte-identical schedule —
@@ -274,10 +273,9 @@ pub struct Gateway {
     inflight_ns: Nanos,
 }
 
-/// One prepared dispatch awaiting pool execution: the queue entry it
-/// came from (checkpoint already consumed into the task), plus the
-/// commit-time context the sequential path would have captured at
-/// execute time.
+/// One prepared dispatch awaiting commit: the queue entry it came from
+/// (checkpoint already consumed into the task), plus the context
+/// captured at dispatch time.
 struct Dispatch {
     index: usize,
     admitted: Admitted,
@@ -484,113 +482,26 @@ impl Gateway {
     /// covers the head bundle's cost. Expired bundles are shed at
     /// dequeue (no credit spent — they never reach a core).
     ///
-    /// Returns the completions produced this round, in execution order
-    /// (pooled rounds: merged by [`merge_completions`]).
-    pub fn run_round(&mut self) -> Vec<Completion> {
-        // The path choice depends only on the device configuration —
-        // never on the worker count — so a 1-worker run takes the
-        // exact same code as an N-worker run and their digests can be
-        // compared byte for byte.
-        if self.device.pooled_eligible() {
-            self.run_round_pooled()
-        } else {
-            self.run_round_sequential()
-        }
-    }
-
-    /// The legacy single-thread round, kept for configurations the
-    /// pool cannot serve (an ORAM device shares mutable tree state
-    /// across bundles, and an armed page-store/ORAM fault plan draws
-    /// from the shared RNG mid-execution).
-    fn run_round_sequential(&mut self) -> Vec<Completion> {
-        // Sample queue occupancy and DRR pressure at round start.
-        let max_deficit =
-            (0..self.tenants.len()).map(|i| self.drr.deficit(i)).max().unwrap_or(0);
-        let t = self.device.telemetry().clone();
-        t.gauge(GaugeId::GwQueueDepth, self.queued_total as u64);
-        t.gauge(GaugeId::DrrDeficit, max_deficit);
-        t.record(TelemetryEvent::QueueDepth {
-            at: self.now(),
-            queued: self.queued_total as u32,
-            max_deficit,
-        });
-        let mut completions = Vec::new();
-        for index in 0..self.tenants.len() {
-            if self.tenants[index].queue.is_empty() {
-                // The classic DRR rule: an idle queue cannot hoard
-                // credit for a future burst.
-                self.drr.forfeit(index);
-                continue;
-            }
-            self.drr.begin_round(index);
-            loop {
-                // Shed every expired head first: deadline is checked at
-                // dequeue so stale work never occupies a core.
-                while let Some(head) = self.tenants[index].queue.peek() {
-                    let now = self.now();
-                    if now <= head.deadline {
-                        break;
-                    }
-                    let expired = self.tenants[index]
-                        .queue
-                        .pop()
-                        .unwrap_or_else(|| unreachable!("peeked head exists"));
-                    self.queued_total -= 1;
-                    self.stats.shed_deadline += 1;
-                    let session = self.tenants[index].session;
-                    self.log.record(format!(
-                        "t={now} shed session={session} ticket={} deadline={}",
-                        expired.ticket, expired.deadline
-                    ));
-                    t.count(CounterId::GwShed, 1);
-                    t.record(TelemetryEvent::Shed { at: now, session, ticket: expired.ticket });
-                    completions.push(Completion {
-                        ticket: expired.ticket,
-                        session,
-                        outcome: Err(GatewayError::DeadlineExceeded {
-                            admitted_at: expired.admitted_at,
-                            deadline: expired.deadline,
-                            now,
-                        }),
-                    });
-                }
-                let Some(head) = self.tenants[index].queue.peek() else {
-                    self.drr.forfeit(index);
-                    break;
-                };
-                if !self.drr.try_spend(index, head.cost) {
-                    break; // credit exhausted: the tenant waits a round
-                }
-                let admitted = self.tenants[index]
-                    .queue
-                    .pop()
-                    .unwrap_or_else(|| unreachable!("peeked head exists"));
-                self.queued_total -= 1;
-                if let Some(completion) = self.execute(index, admitted) {
-                    completions.push(completion);
-                }
-            }
-        }
-        completions
-    }
-
-    /// One round on the worker-pool runtime, in three phases:
+    /// Every served bundle runs the device's prepare → execute →
+    /// commit pipeline. The executor follows from the device
+    /// configuration alone, never from the worker count:
     ///
-    /// 1. **Prepare** (sequential, shared clock): the same DRR loop as
-    ///    the sequential round — forfeits, deadline sheds, credit
-    ///    spends — but each served bundle is *prepared* (revocation,
-    ///    channel delivery, admission, per-dispatch RNG draws) into a
-    ///    [`PreparedTask`] instead of executed.
-    /// 2. **Execute** (parallel): the round's tasks fan out across
-    ///    [`GatewayConfig::workers`] host threads, each running against
-    ///    a private virtual clock starting at zero. Pure functions of
-    ///    the prepared task — worker count cannot change any result.
-    /// 3. **Commit** (sequential, dispatch order): each finished task
-    ///    replays its telemetry onto the shared timeline and advances
-    ///    the shared clock by its virtual duration, so virtual time
-    ///    remains serialized and the schedule digest is identical for
-    ///    any worker count.
-    fn run_round_pooled(&mut self) -> Vec<Completion> {
+    /// * **Serial** (ORAM devices, armed page-store/ORAM-server
+    ///   faults): each bundle is executed on the device's own clock and
+    ///   committed before the next DRR pick, so deadline sheds read the
+    ///   clock every earlier bundle advanced. Completions come back in
+    ///   execution order.
+    /// * **Threaded** (everything else): the round's prepared tasks fan
+    ///   out across [`GatewayConfig::workers`] host threads, each
+    ///   against a private virtual clock, then commit in dispatch
+    ///   order, replaying their telemetry onto the shared timeline.
+    ///   Completions are merged by [`merge_completions`].
+    ///
+    /// Either way virtual time stays serialized, so the schedule — and
+    /// every digest — is identical for any worker count.
+    pub fn run_round(&mut self) -> Vec<Completion> {
+        let pooled = self.device.pooled_eligible();
+        // Sample queue occupancy and DRR pressure at round start.
         let max_deficit =
             (0..self.tenants.len()).map(|i| self.drr.deficit(i)).max().unwrap_or(0);
         let t = self.device.telemetry().clone();
@@ -606,11 +517,15 @@ impl Gateway {
         let mut tasks: Vec<PreparedTask> = Vec::new();
         for index in 0..self.tenants.len() {
             if self.tenants[index].queue.is_empty() {
+                // The classic DRR rule: an idle queue cannot hoard
+                // credit for a future burst.
                 self.drr.forfeit(index);
                 continue;
             }
             self.drr.begin_round(index);
             loop {
+                // Shed every expired head first: deadline is checked at
+                // dequeue so stale work never occupies a core.
                 while let Some(head) = self.tenants[index].queue.peek() {
                     let now = self.now();
                     if now <= head.deadline {
@@ -672,19 +587,21 @@ impl Gateway {
                 ) {
                     Ok(task) => {
                         self.inflight_ns = self.inflight_ns.saturating_add(charge);
-                        tasks.push(task);
-                        dispatches.push(Dispatch {
-                            index,
-                            admitted,
-                            degraded,
-                            dispatched_at: now,
-                            charge,
-                        });
+                        let dispatch =
+                            Dispatch { index, admitted, degraded, dispatched_at: now, charge };
+                        if pooled {
+                            tasks.push(task);
+                            dispatches.push(dispatch);
+                        } else {
+                            let finished = self.device.execute_serial(task);
+                            if let Some(completion) = self.commit(dispatch, finished) {
+                                timed.push((self.now(), completion));
+                            }
+                        }
                     }
                     Err(err) => {
-                        // Failed before reaching a worker (revoked
-                        // session, channel attack, admission): same
-                        // terminal surface as the sequential path.
+                        // Failed before execution (revoked session,
+                        // channel attack, admission).
                         let err = GatewayError::Service(err);
                         self.stats.completed_err += 1;
                         t.count(CounterId::GwFailed, 1);
@@ -705,13 +622,14 @@ impl Gateway {
                 }
             }
         }
-        let workers = self.config.workers.max(1);
+        if !pooled {
+            return timed.into_iter().map(|(_, completion)| completion).collect();
+        }
         let finished = {
             let ctx = self.device.exec_ctx();
-            pool::run_tasks(workers, &ctx, tasks)
+            pool::run_tasks(self.config.workers.max(1), &ctx, tasks)
         };
         for (dispatch, finished) in dispatches.into_iter().zip(finished) {
-            self.inflight_ns = self.inflight_ns.saturating_sub(dispatch.charge);
             if let Some(completion) = self.commit(dispatch, finished) {
                 timed.push((self.now(), completion));
             }
@@ -719,23 +637,28 @@ impl Gateway {
         merge_completions(timed)
     }
 
-    /// Commits one finished task onto the shared timeline: hypervisor
-    /// accounting, telemetry replay, clock advance, then the same
-    /// terminal bookkeeping as the sequential [`Self::execute`].
-    /// Returns `None` on preemption (the bundle re-queued with its
-    /// checkpoint and resumes in a later round).
+    /// Commits one executed task onto the shared timeline (hypervisor
+    /// accounting, telemetry replay, clock advance, seal), then does the
+    /// gateway's terminal bookkeeping. Returns `None` on preemption:
+    /// the bundle re-queued at the back of its tenant queue carrying its
+    /// checkpoint, and its completion will come from a later dequeue
+    /// (exactly-once is preserved; the pause is not clonable).
     fn commit(
         &mut self,
         dispatch: Dispatch,
         finished: crate::service::FinishedTask,
     ) -> Option<Completion> {
-        let Dispatch { index, mut admitted, degraded, dispatched_at, .. } = dispatch;
+        let Dispatch { index, mut admitted, degraded, dispatched_at, charge } = dispatch;
+        self.inflight_ns = self.inflight_ns.saturating_sub(charge);
         let session = self.tenants[index].session;
         let outcome = match self
             .device
             .commit_task(&mut self.tenants[index].handle, finished)
         {
             Ok(PreExecOutcome::Preempted(pause)) => {
+                // Gas slice exhausted: back of the line. Short bundles
+                // queued behind this one jump ahead; the checkpoint
+                // rides along so no work is lost or repeated.
                 self.stats.preempted += 1;
                 let now = self.now();
                 self.log.record(format!(
@@ -752,6 +675,8 @@ impl Gateway {
             }
             Ok(PreExecOutcome::Done(mut report)) => {
                 if degraded {
+                    // The feed is out: the report is served from the
+                    // last attested head, and says so.
                     report.staleness = Some(StalenessBound {
                         head: self.device.head(),
                         age_ns: dispatched_at
@@ -800,87 +725,6 @@ impl Gateway {
             completions.extend(self.run_round());
         }
         completions
-    }
-
-    /// Runs one *segment* of the admitted bundle: until it finishes, a
-    /// typed error kills it, or its gas slice runs out. Returns `None`
-    /// on preemption — the bundle re-queued at the back of its tenant
-    /// queue carrying its checkpoint, and its completion will come from
-    /// a later dequeue (exactly-once is preserved; the pause is not
-    /// clonable).
-    fn execute(&mut self, index: usize, mut admitted: Admitted) -> Option<Completion> {
-        let session = self.tenants[index].session;
-        let now = self.now();
-        self.log.record(format!(
-            "t={now} execute session={session} ticket={} segment={}",
-            admitted.ticket,
-            admitted.pause.as_ref().map_or(0, BundlePause::segments),
-        ));
-        self.note_breaker();
-        let degraded = self.last_breaker != BreakerState::Closed;
-        let resume = admitted.pause.take();
-        let outcome = match self
-            .device
-            .pre_execute_preemptible(&mut self.tenants[index].handle, &admitted.bundle, resume)
-        {
-            Ok(PreExecOutcome::Preempted(pause)) => {
-                // Gas slice exhausted: back of the line. Short bundles
-                // queued behind this one jump ahead; the checkpoint
-                // rides along so no work is lost or repeated.
-                self.stats.preempted += 1;
-                let now = self.now();
-                self.log.record(format!(
-                    "t={now} preempt session={session} ticket={} segment={}",
-                    admitted.ticket,
-                    pause.segments(),
-                ));
-                admitted.pause = Some(pause);
-                self.queued_total += 1;
-                if self.tenants[index].queue.push(admitted).is_err() {
-                    unreachable!("re-queueing a just-popped bundle cannot overflow");
-                }
-                return None;
-            }
-            Ok(PreExecOutcome::Done(mut report)) => {
-                if degraded {
-                    // The feed is out: the report is served from the
-                    // last attested head, and says so.
-                    report.staleness = Some(StalenessBound {
-                        head: self.device.head(),
-                        age_ns: now.saturating_sub(self.last_sync_at.unwrap_or(0)),
-                        fork_point: self.last_fork,
-                    });
-                    self.stats.served_stale += 1;
-                }
-                Ok(report)
-            }
-            Err(err) => Err(GatewayError::Service(err)),
-        };
-        self.device.telemetry().count(
-            if outcome.is_ok() { CounterId::GwExecuted } else { CounterId::GwFailed },
-            1,
-        );
-        match &outcome {
-            Ok(report) => {
-                self.stats.completed_ok += 1;
-                self.log.record(format!(
-                    "t={} complete session={session} ticket={} txs={} stale={}",
-                    self.now(),
-                    admitted.ticket,
-                    report.results.len(),
-                    report.staleness.is_some(),
-                ));
-            }
-            Err(err) => {
-                self.stats.completed_err += 1;
-                self.log.record(format!(
-                    "t={} error session={session} ticket={} err={err}",
-                    self.now(),
-                    admitted.ticket
-                ));
-            }
-        }
-        Some(Completion { ticket: admitted.ticket, session, outcome })
     }
 
     /// Synchronizes the device from `feed` through the circuit breaker.
@@ -1129,16 +973,16 @@ impl Gateway {
     }
 
     /// Deterministic drain-time estimate for shed load: how long until
-    /// the backlog ahead of a retry has moved through the worker pool.
+    /// the backlog ahead of a retry has drained.
     ///
-    /// The divisor is [`GatewayConfig::workers`] — the number of host
-    /// threads that *actually* drain bundles concurrently — not the
-    /// device's nominal `hevm_count` (which sizes the hypervisor's
-    /// slot table, not the drain rate; quoting it under-estimated the
-    /// wait whenever fewer workers than cores were configured). The
-    /// backlog also charges work already dispatched to the pool but
-    /// not yet committed (`inflight_ns`), not just what is still
-    /// queued.
+    /// The divisor is the number of host threads that *actually* drain
+    /// bundles concurrently: [`GatewayConfig::workers`] when the device
+    /// runs the threaded executor, one when it executes serially (ORAM,
+    /// armed page-store/ORAM-server faults) — never the device's
+    /// nominal `hevm_count`, which sizes the hypervisor's slot table,
+    /// not the drain rate. The backlog also charges work already
+    /// dispatched to the pool but not yet committed (`inflight_ns`),
+    /// not just what is still queued.
     ///
     /// Per queued bundle the charge is its *remaining* work: a fresh
     /// bundle owes the full [`GatewayConfig::per_bundle_estimate_ns`],
@@ -1155,9 +999,9 @@ impl Gateway {
     ///
     /// [`CostModel::sched_dispatch_ns`]: tape_sim::cost::CostModel
     pub fn retry_after_hint(&self) -> Nanos {
-        let workers = u128::from(self.config.workers.max(1) as u64);
+        let drain = if self.device.pooled_eligible() { self.config.workers.max(1) } else { 1 };
         let est = u128::from(self.config.per_bundle_estimate_ns.max(1));
-        let per_worker = self.backlog_estimate().div_ceil(workers).max(est);
+        let per_worker = self.backlog_estimate().div_ceil(drain as u128).max(est);
         u64::try_from(per_worker).unwrap_or(Nanos::MAX)
     }
 

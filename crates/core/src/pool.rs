@@ -3,8 +3,9 @@
 //!
 //! [`run_tasks`] fans a round's prepared tasks out to N workers over
 //! bounded channels and returns the finished tasks **in dispatch
-//! order**, regardless of which worker finished first. Each worker
-//! runs [`execute_task`](crate::service::execute_task) — a pure
+//! order**, regardless of which worker finished first. This is the
+//! threaded executor of the dispatch pipeline: each worker runs
+//! [`execute_pooled`](crate::service::execute_pooled) — a pure
 //! function of the task and a read-only [`ExecCtx`] — against a
 //! private virtual clock, so the results are byte-identical for any
 //! worker count; only host wall-clock time changes.
@@ -15,7 +16,7 @@
 
 use std::sync::mpsc;
 
-use crate::service::{execute_task, ExecCtx, FinishedTask, PreparedTask};
+use crate::service::{execute_pooled, ExecCtx, FinishedTask, PreparedTask};
 
 /// Per-worker task-channel depth. Small and bounded per the design:
 /// the feeder blocks rather than letting one worker hoard the round.
@@ -34,7 +35,7 @@ pub(crate) fn run_tasks(
     tasks: Vec<PreparedTask>,
 ) -> Vec<FinishedTask> {
     if workers <= 1 || tasks.len() <= 1 {
-        return tasks.into_iter().map(|task| execute_task(ctx, task)).collect();
+        return tasks.into_iter().map(|task| execute_pooled(ctx, task)).collect();
     }
     let n = workers.min(tasks.len());
     let total = tasks.len();
@@ -52,7 +53,7 @@ pub(crate) fn run_tasks(
                     // The receiver outlives the workers; a send can
                     // only fail if the collector below panicked, and
                     // then the scope propagates that panic anyway.
-                    let _ = done_tx.send((index, execute_task(ctx, task)));
+                    let _ = done_tx.send((index, execute_pooled(ctx, task)));
                 }
             });
             feeders.push(task_tx);

@@ -274,14 +274,7 @@ pub enum PreExecOutcome {
 #[derive(Debug)]
 pub struct BundlePause {
     checkpoint: Checkpoint,
-    hevm_config: HevmConfig,
-    results: Vec<TxResult>,
-    per_tx: Vec<Nanos>,
-    /// Index of the transaction the checkpoint pauses.
-    tx_index: usize,
-    /// Execution time already spent on the paused transaction.
-    tx_elapsed: Nanos,
-    lints: Vec<(Address, LintFinding)>,
+    progress: Progress,
     /// Virtual time the bundle entered the service (for `total_ns`).
     started: Nanos,
     /// The submitting session; resume is refused for any other.
@@ -301,7 +294,7 @@ impl BundlePause {
         let rest: u64 = bundle
             .transactions
             .iter()
-            .skip(self.tx_index + 1)
+            .skip(self.progress.tx_index + 1)
             .map(|tx| tx.gas_limit)
             .sum();
         self.checkpoint.remaining_gas().saturating_add(rest)
@@ -313,13 +306,28 @@ impl BundlePause {
     }
 }
 
-/// How one `run_bundle_segment` call ended (internal).
+/// Bundle-level progress carried from segment to segment: the engine
+/// config, results of retired transactions, per-transaction timing,
+/// and the lints for the signed report.
+#[derive(Debug)]
+struct Progress {
+    hevm_config: HevmConfig,
+    results: Vec<TxResult>,
+    per_tx: Vec<Nanos>,
+    /// Index of the transaction running (or paused).
+    tx_index: usize,
+    /// Execution time already spent on that transaction.
+    tx_elapsed: Nanos,
+    lints: Vec<(Address, LintFinding)>,
+}
+
+/// How one segment ended (internal).
 // Same transient-return-value argument as `PreExecOutcome` for the
 // variant-size disparity.
-#[allow(clippy::type_complexity, clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant)]
 enum SegmentOutcome {
     /// Every transaction retired; the bundle-level artifacts follow.
-    Finished(Vec<TxResult>, StateChanges, Vec<Nanos>, HevmStats, Vec<(Address, LintFinding)>),
+    Finished { progress: Progress, changes: StateChanges, stats: HevmStats },
     /// The current transaction's gas slice ran out mid-execution.
     Yielded(BundlePause),
 }
@@ -955,7 +963,8 @@ impl HarDTape {
     /// runs out or the whole bundle finishes; with `resume` present the
     /// paused bundle re-takes a core and continues. The core is
     /// released on *every* exit, so a preempted bundle never holds
-    /// hardware while queued.
+    /// hardware while queued. This is the dispatch pipeline (prepare →
+    /// execute → commit) on the serial executor.
     ///
     /// Exactly-once: the [`BundlePause`] is consumed by value and is
     /// not `Clone`, so a segment can never be replayed. An error
@@ -972,143 +981,9 @@ impl HarDTape {
         bundle: &Bundle,
         resume: Option<BundlePause>,
     ) -> Result<PreExecOutcome, ServiceError> {
-        if self.revoked.contains(&user.session) {
-            return Err(ServiceError::ReattestationRequired);
-        }
-        let security = self.config.security;
-        let (started, pause) = match resume {
-            Some(pause) => {
-                assert_eq!(
-                    pause.session, user.session,
-                    "pause resumed by a different session"
-                );
-                (pause.started, Some(pause))
-            }
-            None => {
-                let started = self.clock.now();
-                let payload = bundle.encode();
-
-                // User → device: sign and seal the bundle. The wire
-                // between the two is untrusted — an armed fault plan may
-                // tamper, drop, or replay the sealed message in transit.
-                let signature =
-                    security.signature().then(|| sign_bundle(&user.user_key, &payload));
-                if security.encryption() {
-                    let opened = self.deliver_to_device(user, &payload)?;
-                    debug_assert_eq!(opened, payload);
-                }
-                self.record_phase(PhaseKind::Receive, started);
-                let decode_started = self.clock.now();
-                if let Some(sig) = &signature {
-                    // Device verifies the user's bundle signature on the A53.
-                    self.clock.advance(self.cost.ecdsa_verify_ns);
-                    verify_bundle(&user.public_key(), &payload, sig)
-                        .map_err(ServiceError::Channel)?;
-                }
-                self.record_phase(PhaseKind::Decode, decode_started);
-
-                // Static admission: refuse bundles whose callees cannot
-                // fit the hardware stack capacities before a core is
-                // even assigned.
-                self.admission_check(bundle)?;
-                (started, None)
-            }
-        };
-
-        // Exclusive HEVM assignment (per segment: a paused bundle holds
-        // no core).
-        let slot = self.hypervisor.assign(user.session).map_err(|e| match e {
-            SlotError::AllQuarantined => ServiceError::AllCoresQuarantined,
-            _ => ServiceError::Busy,
-        })?;
-
-        let execute_started = self.clock.now();
-        let outcome = self.run_bundle_segment(bundle, pause);
-        self.record_phase(PhaseKind::Execute, execute_started);
-        self.telemetry
-            .observe(HistId::ExecuteNs, self.clock.now() - execute_started);
-
-        // Hardware-level failures (layer-3 integrity violations, watchdog
-        // trips) count against the core; three in a row quarantine it —
-        // a quarantined core is pulled from rotation instead of released.
-        // A preemption is a success: the core did its slice and returns
-        // to the pool.
-        let core_failure = matches!(
-            &outcome,
-            Err(ServiceError::Hevm(HevmAbort::Layer3Tampered | HevmAbort::Watchdog { .. }))
-        );
-        if core_failure {
-            if !self.hypervisor.record_failure(slot) {
-                self.hypervisor
-                    .release(slot, user.session)
-                    .expect("slot was assigned above");
-            }
-        } else {
-            self.hypervisor.record_success(slot);
-            self.hypervisor
-                .release(slot, user.session)
-                .expect("slot was assigned above");
-        }
-        if let Some(oram) = &self.oram {
-            // Segment/bundle end: on-chip caches cleared before the core
-            // can serve another tenant.
-            oram.clear_cache();
-        }
-        // Integrity failures revoke the session: the bundle is aborted
-        // and the user must re-attest before submitting another one.
-        if matches!(
-            &outcome,
-            Err(ServiceError::Oram(_)) | Err(ServiceError::Hevm(HevmAbort::Layer3Tampered))
-        ) {
-            self.revoked.insert(user.session);
-        }
-        let (results, changes, per_tx_ns, hevm_stats, lints) = match outcome? {
-            SegmentOutcome::Yielded(mut pause) => {
-                pause.started = started;
-                pause.session = user.session;
-                return Ok(PreExecOutcome::Preempted(pause));
-            }
-            SegmentOutcome::Finished(results, changes, per_tx, stats, lints) => {
-                (results, changes, per_tx, stats, lints)
-            }
-        };
-
-        let mut report = BundleReport {
-            results,
-            changes,
-            per_tx_ns,
-            total_ns: 0,
-            signature: None,
-            hevm_stats,
-            staleness: None,
-            lints,
-        };
-
-        // Device → user: sign and seal the trace.
-        let trace = report.encode();
-        let sign_started = self.clock.now();
-        if security.signature() {
-            self.clock.advance(self.cost.ecdsa_sign_ns);
-            // The device signs the trace with its attested session key;
-            // the user verifies against the quote's session public key.
-            report.signature = Some(sign_bundle(&user.device_key, &trace));
-        }
-        self.record_phase(PhaseKind::Sign, sign_started);
-        let seal_started = self.clock.now();
-        if security.encryption() {
-            let sealed = user.device_tx.seal(&trace);
-            self.clock.advance(self.cost.protected_message_ns(sealed.sealed.len()));
-            let opened = user.from_device.open(&sealed).map_err(ServiceError::Channel)?;
-            debug_assert_eq!(opened, trace);
-        }
-        self.record_phase(PhaseKind::Seal, seal_started);
-
-        report.total_ns = self.clock.now() - started;
-        self.telemetry.count(CounterId::Bundles, 1);
-        self.telemetry
-            .count(CounterId::Transactions, bundle.transactions.len() as u64);
-        self.telemetry.observe(HistId::BundleLatencyNs, report.total_ns);
-        Ok(PreExecOutcome::Done(report))
+        let task = self.prepare_task(user, bundle, resume)?;
+        let finished = self.execute_serial(task);
+        self.commit_task(user, finished)
     }
 
     /// Records one completed service phase (duration since `started`).
@@ -1177,295 +1052,6 @@ impl HarDTape {
             }
             None => user.device_rx.open(&sealed).map_err(ServiceError::Channel),
         }
-    }
-
-    /// Executes one gas-slice segment of a bundle against the bundle's
-    /// journal overlay: a fresh overlay when `resume` is `None`, the
-    /// checkpointed one otherwise. Returns at the first preemption or
-    /// when every transaction has retired.
-    fn run_bundle_segment(
-        &mut self,
-        bundle: &Bundle,
-        resume: Option<BundlePause>,
-    ) -> Result<SegmentOutcome, ServiceError> {
-        let segment_started = self.clock.now();
-        if let Some(pause) = resume {
-            // Re-dispatching a suspended context is not free: the
-            // Hypervisor's scheduler restores the parked HEVM state
-            // before the first cycle of the new slice executes. Charged
-            // here (inside the segment window) so preemption's overhead
-            // shows up in SliceNs and every latency built on it.
-            self.clock.advance(self.cost.sched_dispatch_ns);
-            let BundlePause {
-                checkpoint,
-                hevm_config,
-                results,
-                per_tx,
-                tx_index,
-                tx_elapsed,
-                lints,
-                ..
-            } = pause;
-            // The reader detached at suspension was just a view of the
-            // device state; rebuild it fresh (the world may even have
-            // advanced a block — pre-execution reads whatever the
-            // device's current head serves, exactly like a bundle that
-            // was still queued).
-            let reader =
-                HybridState::new(self.config.security, &self.local, self.oram.as_ref());
-            let mut hevm = Hevm::resume(
-                hevm_config.clone(),
-                self.env.clone(),
-                reader,
-                self.clock.clone(),
-                checkpoint,
-            );
-            let before = self.clock.now();
-            let first = Some(hevm.continue_transact());
-            return self.drive_segment(
-                bundle,
-                hevm,
-                first,
-                hevm_config,
-                results,
-                per_tx,
-                tx_index,
-                tx_elapsed,
-                before,
-                lints,
-                segment_started,
-                true,
-            );
-        }
-        // Static pass over the bundle's top-level callees (§IV-D): the
-        // decode phase already knows every `to` address, and the
-        // analyzer's page-reachability sets turn the old dense prefetch
-        // into a precise plan — only pages some execution path can
-        // actually touch are prefetched, and the same sets are
-        // advertised to the telemetry auditor as the per-contract plan
-        // the observed code traffic must stay inside.
-        let mut callees: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for tx in &bundle.transactions {
-            let Some(to) = tx.to else { continue };
-            if seen.insert(to) {
-                if let Some(analysis) = self.analyze_code(&to) {
-                    callees.push((to, analysis));
-                }
-            }
-        }
-
-        // Secret-dependency lints, surfaced per bundle in the signed
-        // report (sorted for a deterministic encoding).
-        let mut lints: Vec<(Address, LintFinding)> = Vec::new();
-        for (addr, analysis) in &callees {
-            lints.extend(analysis.lints.iter().map(|l| (*addr, *l)));
-        }
-        lints.sort_unstable();
-        self.telemetry.count(CounterId::LintFindings, lints.len() as u64);
-
-        // A callee with dynamic call targets (or foreign-code reads) can
-        // reach any code-bearing account, so precise plans must cover
-        // the whole mirror or the auditor would flag honest inner-call
-        // fetches. Collect those extra analyses up front (full-page
-        // plans where the analysis itself reads code dynamically).
-        let plan_everything = callees
-            .iter()
-            .any(|(_, a)| a.dynamic_calls || a.reads_foreign_code);
-        let mut extra_plans: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
-        if plan_everything && self.oram.is_some() && self.config.security.oram_code() {
-            let mut others: Vec<Address> = self
-                .local
-                .iter()
-                .filter(|(a, acc)| !acc.code.is_empty() && !seen.contains(*a))
-                .map(|(a, _)| *a)
-                .collect();
-            // The mirror is a HashMap: sort so plan advertisement order
-            // (and with it the telemetry digest) is process-independent.
-            others.sort_unstable();
-            for addr in others {
-                if let Some(analysis) = self.analyze_code(&addr) {
-                    extra_plans.push((addr, analysis));
-                }
-            }
-        }
-
-        // World-state prefetch plans (§IV-D, value-set analysis): full
-        // plans for every analyzed contract the bundle can enter — the
-        // top-level callees, their constant inner-call targets, and the
-        // mirror-wide extra analyses — plus meta-only plans for records
-        // the bundle reads outside any plan (sender/recipient account
-        // metas, accounts named by BALANCE/EXTCODE* operands). The ORAM
-        // layer advertises each plan, batch-fetches it, and pins the
-        // records on-chip; the auditor then holds observed kv traffic
-        // to the advertised set.
-        let mut state_plans: Vec<(Address, Vec<U256>, bool)> = Vec::new();
-        let mut meta_only: std::collections::BTreeSet<Address> = std::collections::BTreeSet::new();
-        if self.oram.is_some() && self.config.security.oram_storage() {
-            let mut planned: std::collections::BTreeSet<Address> =
-                std::collections::BTreeSet::new();
-            let mut inner_targets: Vec<Address> = Vec::new();
-            for (addr, analysis) in callees.iter().chain(extra_plans.iter()) {
-                if planned.insert(*addr) {
-                    state_plans.push((
-                        *addr,
-                        analysis.state_plan.slots.iter().copied().collect(),
-                        analysis.state_plan.dynamic,
-                    ));
-                }
-                meta_only.extend(analysis.state_plan.accounts.iter().copied());
-                inner_targets.extend(analysis.call_targets.iter().copied());
-            }
-            // Constant inner-call targets execute their own storage
-            // accesses under their own address: give code-bearing ones
-            // a full plan too, so honest inner-call kv traffic is
-            // covered rather than merely exempted.
-            for target in inner_targets {
-                if planned.contains(&target) {
-                    continue;
-                }
-                if let Some(analysis) = self.analyze_code(&target) {
-                    planned.insert(target);
-                    state_plans.push((
-                        target,
-                        analysis.state_plan.slots.iter().copied().collect(),
-                        analysis.state_plan.dynamic,
-                    ));
-                } else {
-                    meta_only.insert(target);
-                }
-            }
-            for tx in &bundle.transactions {
-                meta_only.insert(tx.from);
-                if let Some(to) = tx.to {
-                    meta_only.insert(to);
-                }
-            }
-            meta_only.retain(|a| !planned.contains(a));
-        }
-
-        if let Some(oram) = &self.oram {
-            if self.config.security.oram_storage() {
-                for (addr, slots, dynamic) in &state_plans {
-                    oram.set_state_plan(*addr, slots, *dynamic);
-                }
-                for addr in &meta_only {
-                    oram.set_state_plan(*addr, &[], false);
-                }
-            }
-            if self.config.security.oram_code() {
-                if self.legacy_prefetch.get() {
-                    // Pre-fix pipeline (starvation ablation): dense
-                    // prefetch of every code page, no plans advertised.
-                    use tape_state::StateReader as _;
-                    let page_size = self.config.hevm.mem.page_size;
-                    for (addr, _) in &callees {
-                        let code_len =
-                            self.local.account(addr).map(|i| i.code_len).unwrap_or(0);
-                        if code_len > 0 {
-                            oram.schedule_prefetch(*addr, code_len.div_ceil(page_size) as u32);
-                        }
-                    }
-                } else {
-                    for (addr, analysis) in &callees {
-                        oram.set_code_plan(*addr, &analysis.reachable_pages);
-                        // Prefetch stays limited to the top-level
-                        // callees: inner-call pages are demand-paced,
-                        // not drained.
-                        oram.schedule_prefetch_pages(*addr, &analysis.reachable_pages);
-                    }
-                    for (addr, analysis) in &extra_plans {
-                        oram.set_code_plan(*addr, &analysis.reachable_pages);
-                    }
-                }
-            }
-        }
-        let reader = HybridState::new(self.config.security, &self.local, self.oram.as_ref());
-        let mut hevm_config = self.config.hevm.clone();
-        // Whatever the ORAM serves charges the clock itself; whatever
-        // stays local is charged by the HEVM at local-fetch cost. Under
-        // -ESO that split differs per query class: K-V via ORAM, code
-        // local.
-        hevm_config.charge_local_fetch = !self.config.security.oram_storage();
-        hevm_config.charge_local_code = !self.config.security.oram_code();
-        // Fresh session-local layer-3 sealing key and noise seed from the
-        // device RNG (paper §IV-C: session keys differ per session).
-        let mut layer3_key = [0u8; 16];
-        self.rng.fill_bytes(&mut layer3_key);
-        hevm_config.layer3_key = layer3_key;
-        hevm_config.layer3_noise_seed = self.rng.next_u64();
-        hevm_config.faults = self.faults.clone();
-        hevm_config.checkpoint_cover = !self.checkpoint_ablation.get();
-        let mut hevm =
-            Hevm::new(hevm_config.clone(), self.env.clone(), reader, self.clock.clone());
-
-        // The first dispatch of a bundle onto a core pays the same
-        // scheduler context-switch as every re-dispatch: charged inside
-        // the segment window (but outside per-transaction time), so a
-        // bundle suspended S−1 times carries exactly 2S−1 dispatch
-        // charges — S dispatches plus S−1 parks.
-        self.clock.advance(self.cost.sched_dispatch_ns);
-        let before = self.clock.now();
-        let first = bundle
-            .transactions
-            .first()
-            .map(|tx| hevm.transact_sliced(tx));
-        self.drive_segment(
-            bundle,
-            hevm,
-            first,
-            hevm_config,
-            Vec::with_capacity(bundle.transactions.len()),
-            Vec::with_capacity(bundle.transactions.len()),
-            0,
-            0,
-            before,
-            lints,
-            segment_started,
-            false,
-        )
-    }
-
-    /// Drives an engine (fresh or resumed) until the slice yields or
-    /// the bundle retires, flushing swap traffic and segment telemetry.
-    /// Delegates to [`drive_segment_with`] against the device's shared
-    /// clock and telemetry; worker tasks call the same driver against a
-    /// private clock and a [`TaskBuffer`].
-    #[allow(clippy::too_many_arguments)]
-    fn drive_segment<'a>(
-        &self,
-        bundle: &Bundle,
-        hevm: Hevm<HybridState<'a>>,
-        first: Option<Result<SliceOutcome, HevmAbort>>,
-        hevm_config: HevmConfig,
-        results: Vec<TxResult>,
-        per_tx: Vec<Nanos>,
-        tx_index: usize,
-        tx_elapsed: Nanos,
-        before: Nanos,
-        lints: Vec<(Address, LintFinding)>,
-        segment_started: Nanos,
-        resumed: bool,
-    ) -> Result<SegmentOutcome, ServiceError> {
-        let mut sink = self.telemetry.clone();
-        drive_segment_with(
-            bundle,
-            hevm,
-            first,
-            hevm_config,
-            results,
-            per_tx,
-            tx_index,
-            tx_elapsed,
-            before,
-            lints,
-            segment_started,
-            resumed,
-            &self.clock,
-            &self.cost,
-            self.oram.as_ref(),
-            &mut sink,
-        )
     }
 
     /// Synchronizes a new block's state delta (paper step 11): verifies
@@ -1835,38 +1421,80 @@ impl HarDTape {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool execution: prepare → execute → commit.
+// The dispatch pipeline: prepare → execute → commit.
 //
-// The gateway's pooled runtime splits `pre_execute_preemptible` into
-// three phases so the host-expensive middle can run on N worker
-// threads while every observable effect stays deterministic:
+// Every bundle segment on every device runs the same three steps; only
+// the executor of the middle one differs.
 //
-// * `prepare_task` (sequential, shared clock) — revocation check,
-//   channel delivery with its fault draws and sequence numbers, static
-//   admission, lint collection, and the per-dispatch RNG draws for the
-//   HEVM config. Everything that touches shared mutable state.
-// * `execute_task` (parallel, no `&self`) — ECDSA sign/verify, the
-//   HEVM segment, and trace signing, against a private virtual clock
-//   that starts at zero and a private [`TaskBuffer`] telemetry sink.
-//   A pure function of the prepared task, so its result is identical
-//   for any worker count.
-// * `commit_task` (sequential, dispatch order) — hypervisor core
-//   accounting, buffer replay onto the shared timeline, the shared
-//   clock advance by the task's virtual duration, and the seal phase
-//   (sequential channel state). Virtual time therefore stays
-//   *serialized*: the pool parallelizes host wall-clock work only, and
-//   the virtual schedule is byte-identical for 1 and N workers.
+// * `prepare_task` (device state, dispatch order) — revocation check,
+//   channel delivery with its fault draws and sequence numbers, the
+//   `Receive` phase, static admission, lints and ORAM prefetch plans
+//   (the analysis cache needs `&mut self`), and the per-dispatch RNG
+//   draws for the HEVM config.
+// * `execute_task` — bundle-signature verification (`Decode`), plan
+//   advertisement and the HEVM segment (`Execute`), and trace signing
+//   (`Sign`), against a clock, a telemetry sink and an optional ORAM
+//   lent by the executor:
+//   - the *serial* executor ([`HarDTape::execute_serial`]) lends the
+//     device's own clock, telemetry and ORAM, and claims a core between
+//     `Decode` and `Execute`. ORAM devices (the ORAM advances the shared
+//     clock and records its own events), devices with armed
+//     page-store/ORAM-server faults (drawn from the shared fault RNG
+//     mid-execution) and direct `pre_execute` calls use it;
+//   - the *threaded* executor ([`crate::pool::run_tasks`]) lends a
+//     private clock starting at zero and a [`TaskBuffer`], so a round's
+//     tasks run on N host threads with identical results.
+// * `commit_task` (device state, dispatch order) — core accounting (a
+//   pooled task takes its core here), replay of the task's buffer onto
+//   the shared timeline and the clock advance by its duration (nothing
+//   and zero for serial tasks), revocation, and the `Seal` phase.
+//   Virtual time stays serialized, so the schedule is byte-identical
+//   for 1 and N workers.
 // ---------------------------------------------------------------------------
 
-/// The `Sync` subset of device state a worker thread needs: read-only
-/// world state plus the execution parameters. Only built for
-/// pool-eligible configurations (no ORAM), so the borrowed mirror is
-/// never written during the parallel phase.
+/// The `Sync` subset of device state the execute step reads: world
+/// state plus the execution parameters. The threaded executor only
+/// runs ORAM-less configurations, so the borrowed mirror is never
+/// written while workers hold it.
 pub(crate) struct ExecCtx<'a> {
     security: SecurityConfig,
     env: &'a Env,
     cost: &'a CostModel,
     local: &'a InMemoryState,
+}
+
+/// The §IV-D ORAM plans of one fresh bundle, gathered at prepare from
+/// the static analyses and advertised by the execute step after
+/// `Decode`. Empty without an ORAM.
+#[derive(Default)]
+struct OramPlans {
+    /// World-state plans `(contract, slots, dynamic)`, then meta-only
+    /// plans (no slots) for records read outside any contract plan.
+    state: Vec<(Address, Vec<U256>, bool)>,
+    /// Code plans `(contract, analysis, drain its pages now)`: the
+    /// top-level callees are prefetched, everything else demand-paced.
+    code: Vec<(Address, Arc<CodeAnalysis>, bool)>,
+    /// Starvation ablation: dense page counts, no plans advertised.
+    dense: Vec<(Address, u32)>,
+}
+
+impl OramPlans {
+    /// Advertises every plan: batch-fetches and pins the state plans,
+    /// registers the code plans, and schedules the prefetch drain.
+    fn advertise(&self, oram: &ObliviousState) {
+        for (addr, slots, dynamic) in &self.state {
+            oram.set_state_plan(*addr, slots, *dynamic);
+        }
+        for (addr, pages) in &self.dense {
+            oram.schedule_prefetch(*addr, *pages);
+        }
+        for (addr, analysis, drain) in &self.code {
+            oram.set_code_plan(*addr, &analysis.reachable_pages);
+            if *drain {
+                oram.schedule_prefetch_pages(*addr, &analysis.reachable_pages);
+            }
+        }
+    }
 }
 
 /// What kind of work a prepared task carries.
@@ -1881,24 +1509,26 @@ enum TaskKind {
         /// The canonical bundle encoding (what the user signs).
         payload: Vec<u8>,
         /// The user's signing key, cloned so the (host-expensive)
-        /// bundle signature can be computed on the worker.
+        /// bundle signature is computed in the execute step.
         user_key: SecretKey,
-        /// Pre-collected lint findings (analysis needs `&mut` device).
-        lints: Vec<(Address, LintFinding)>,
-        /// Fully resolved engine config, including the per-dispatch
-        /// layer-3 key/noise draws made at prepare in dispatch order.
-        hevm_config: HevmConfig,
+        plans: OramPlans,
+        /// Nothing retired yet: the fully resolved engine config
+        /// (layer-3 key/noise drawn at prepare, in dispatch order) and
+        /// the lints.
+        progress: Progress,
     },
     /// A preempted bundle resuming from its checkpoint.
     Resume { bundle: Bundle, pause: BundlePause },
 }
 
-/// One unit of work for the worker pool, produced by
-/// [`HarDTape::prepare_task`] in dispatch order.
+/// One unit of work, produced by [`HarDTape::prepare_task`] in
+/// dispatch order.
 pub(crate) struct PreparedTask {
     /// Shared-clock time the bundle entered the service (prepare time
     /// for fresh bundles, the original admission for resumed ones).
     started: Nanos,
+    /// The submitting session (the core is assigned to it).
+    session: u64,
     /// The device's session signing key for the trace.
     device_key: SecretKey,
     kind: TaskKind,
@@ -1909,10 +1539,9 @@ pub(crate) struct PreparedTask {
 // pause embeds the full checkpoint and the value is transient.
 #[allow(clippy::large_enum_variant)]
 enum TaskResult {
-    /// Failed before the point where the sequential path would have
-    /// assigned a core (bundle-signature verification): commit replays
-    /// the buffer and advances the clock but touches no hypervisor
-    /// state.
+    /// Failed before taking a core (bundle-signature verification, or
+    /// no core for the serial executor): commit replays the buffer and
+    /// advances the clock but touches no hypervisor state.
     PreAssign(ServiceError),
     /// The bundle retired; the trace is signed and ready to seal.
     Done {
@@ -1927,24 +1556,30 @@ enum TaskResult {
     Failed(ServiceError),
 }
 
-/// The result of [`execute_task`]: everything `commit_task` needs to
+/// The result of the execute step: everything `commit_task` needs to
 /// splice the task into the shared timeline.
 pub(crate) struct FinishedTask {
     started: Nanos,
-    /// Virtual time the task consumed on its private clock.
+    /// Virtual time the task consumed on a private clock (zero for the
+    /// serial executor, which ran on the shared one).
     duration: Nanos,
-    /// Task-private telemetry, replayed (rebased) at commit.
+    /// Task-private telemetry, replayed (rebased) at commit. Empty for
+    /// the serial executor, which recorded straight into the device's.
     buffer: TaskBuffer,
+    /// The core the serial executor already claimed (`None` for pooled
+    /// tasks, which take theirs at commit).
+    slot: Option<usize>,
     outcome: TaskResult,
 }
 
 impl HarDTape {
-    /// Whether bundle execution can run on the worker pool: workers
-    /// execute against private clocks with no access to the shared
-    /// ORAM, so the pool serves only ORAM-less configurations whose
-    /// layer-3 page store has no armed faults (an armed
-    /// `PageStore`/`OramServer` site would consume the shared fault
-    /// RNG mid-execution, breaking determinism across worker counts).
+    /// Whether bundle execution can use the threaded executor: workers
+    /// run against private clocks with no access to the shared ORAM, so
+    /// the pool serves only ORAM-less configurations whose layer-3 page
+    /// store has no armed faults (an armed `PageStore`/`OramServer`
+    /// site would consume the shared fault RNG mid-execution, breaking
+    /// determinism across worker counts). Everything else executes
+    /// serially.
     pub(crate) fn pooled_eligible(&self) -> bool {
         self.oram.is_none()
             && self.faults.as_ref().is_none_or(|plan| {
@@ -1963,16 +1598,15 @@ impl HarDTape {
         }
     }
 
-    /// Phase 1 of pooled execution: everything that must stay on the
-    /// shared clock and shared mutable state, in dispatch order —
-    /// revocation, channel delivery (sequence numbers + fault draws),
-    /// the `Receive` phase, static admission, lint collection, and the
-    /// per-dispatch RNG draws for the engine config.
+    /// Step 1: everything that must stay on the shared clock and shared
+    /// mutable state, in dispatch order — revocation, channel delivery
+    /// (sequence numbers + fault draws), the `Receive` phase, static
+    /// admission, lints and ORAM plans, and the per-dispatch RNG draws
+    /// for the engine config.
     ///
     /// # Errors
     ///
-    /// The same pre-execution surface as
-    /// [`Self::pre_execute_preemptible`] up to core assignment:
+    /// The pre-execution surface of [`Self::pre_execute_preemptible`]:
     /// revoked sessions, channel attacks, analysis rejections. A
     /// prepare error terminates the bundle without a task.
     pub(crate) fn prepare_task(
@@ -1984,123 +1618,281 @@ impl HarDTape {
         if self.revoked.contains(&user.session) {
             return Err(ServiceError::ReattestationRequired);
         }
+        let session = user.session;
+        let device_key = user.device_key.clone();
         if let Some(pause) = resume {
-            assert_eq!(
-                pause.session, user.session,
-                "pause resumed by a different session"
-            );
+            assert_eq!(pause.session, session, "pause resumed by a different session");
             return Ok(PreparedTask {
                 started: pause.started,
-                device_key: user.device_key.clone(),
+                session,
+                device_key,
                 kind: TaskKind::Resume { bundle: bundle.clone(), pause },
             });
         }
         let security = self.config.security;
         let started = self.clock.now();
         let payload = bundle.encode();
+        // User → device: the sealed bundle crosses the untrusted wire,
+        // where an armed fault plan may tamper, drop, or replay it.
         if security.encryption() {
             let opened = self.deliver_to_device(user, &payload)?;
             debug_assert_eq!(opened, payload);
         }
         self.record_phase(PhaseKind::Receive, started);
+        // Static admission: refuse bundles whose callees cannot fit the
+        // hardware stack capacities before a core is even assigned.
         self.admission_check(bundle)?;
 
-        // Secret-dependency lints for the signed report, collected here
-        // because the analysis cache needs `&mut self` (sorted for a
-        // deterministic encoding, exactly as the sequential path does).
-        let mut lints: Vec<(Address, LintFinding)> = Vec::new();
+        // Static pass over the bundle's top-level callees (§IV-D): the
+        // secret-dependency lints for the signed report (sorted for a
+        // deterministic encoding) and the ORAM plans.
+        let mut callees: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
         for tx in &bundle.transactions {
             let Some(to) = tx.to else { continue };
             if seen.insert(to) {
                 if let Some(analysis) = self.analyze_code(&to) {
-                    lints.extend(analysis.lints.iter().map(|l| (to, *l)));
+                    callees.push((to, analysis));
                 }
             }
         }
+        let mut lints: Vec<(Address, LintFinding)> = Vec::new();
+        for (addr, analysis) in &callees {
+            lints.extend(analysis.lints.iter().map(|l| (*addr, *l)));
+        }
         lints.sort_unstable();
         self.telemetry.count(CounterId::LintFindings, lints.len() as u64);
+        let plans = self.oram_plans(bundle, &callees, &seen);
 
         let mut hevm_config = self.config.hevm.clone();
+        // Whatever the ORAM serves charges the clock itself; whatever
+        // stays local is charged by the HEVM at local-fetch cost. Under
+        // -ESO that split differs per query class: K-V via ORAM, code
+        // local.
         hevm_config.charge_local_fetch = !security.oram_storage();
         hevm_config.charge_local_code = !security.oram_code();
-        // Session-local layer-3 key and noise seed, drawn from the
-        // device RNG in dispatch order so the values are independent of
-        // the worker count.
+        // Fresh session-local layer-3 sealing key and noise seed from the
+        // device RNG (paper §IV-C: session keys differ per session),
+        // drawn in dispatch order so the values are independent of the
+        // executor and the worker count.
         let mut layer3_key = [0u8; 16];
         self.rng.fill_bytes(&mut layer3_key);
         hevm_config.layer3_key = layer3_key;
         hevm_config.layer3_noise_seed = self.rng.next_u64();
         hevm_config.faults = self.faults.clone();
         hevm_config.checkpoint_cover = !self.checkpoint_ablation.get();
+        let progress = Progress {
+            hevm_config,
+            results: Vec::with_capacity(bundle.transactions.len()),
+            per_tx: Vec::with_capacity(bundle.transactions.len()),
+            tx_index: 0,
+            tx_elapsed: 0,
+            lints,
+        };
         Ok(PreparedTask {
             started,
-            device_key: user.device_key.clone(),
+            session,
+            device_key,
             kind: TaskKind::Fresh {
                 bundle: bundle.clone(),
                 payload,
                 user_key: user.user_key.clone(),
-                lints,
-                hevm_config,
+                plans,
+                progress,
             },
         })
     }
 
-    /// Phase 3 of pooled execution, in dispatch order: hypervisor core
-    /// accounting, telemetry replay onto the shared timeline, the
-    /// shared clock advance, session revocation, and the seal phase.
+    /// The ORAM plans for a fresh bundle whose top-level callees (`to`
+    /// addresses in `seen`) analyzed to `callees`. The analyzer's
+    /// page-reachability sets turn the old dense code prefetch into a
+    /// precise plan — only pages some execution path can touch are
+    /// prefetched — and its value sets into world-state plans; the
+    /// telemetry auditor holds observed traffic to what is advertised.
+    fn oram_plans(
+        &mut self,
+        bundle: &Bundle,
+        callees: &[(Address, Arc<CodeAnalysis>)],
+        seen: &std::collections::BTreeSet<Address>,
+    ) -> OramPlans {
+        use std::collections::BTreeSet;
+        let mut plans = OramPlans::default();
+        if self.oram.is_none() {
+            return plans;
+        }
+        let security = self.config.security;
+        // A callee with dynamic call targets (or foreign-code reads) can
+        // reach any code-bearing account, so precise plans must cover
+        // the whole mirror or the auditor would flag honest inner-call
+        // fetches.
+        let plan_everything = callees
+            .iter()
+            .any(|(_, a)| a.dynamic_calls || a.reads_foreign_code);
+        let mut extra: Vec<(Address, Arc<CodeAnalysis>)> = Vec::new();
+        if plan_everything && security.oram_code() {
+            let mut others: Vec<Address> = self
+                .local
+                .iter()
+                .filter(|(a, acc)| !acc.code.is_empty() && !seen.contains(*a))
+                .map(|(a, _)| *a)
+                .collect();
+            // The mirror is a HashMap: sort so plan advertisement order
+            // (and with it the telemetry digest) is process-independent.
+            others.sort_unstable();
+            for addr in others {
+                if let Some(analysis) = self.analyze_code(&addr) {
+                    extra.push((addr, analysis));
+                }
+            }
+        }
+
+        // World-state plans: full plans for every analyzed contract the
+        // bundle can enter — the top-level callees, their constant
+        // inner-call targets, and the mirror-wide extras — plus
+        // meta-only plans for records the bundle reads outside any plan
+        // (sender/recipient account metas, accounts named by
+        // BALANCE/EXTCODE* operands).
+        if security.oram_storage() {
+            let mut planned: BTreeSet<Address> = BTreeSet::new();
+            let mut meta_only: BTreeSet<Address> = BTreeSet::new();
+            let mut inner_targets: Vec<Address> = Vec::new();
+            for (addr, analysis) in callees.iter().chain(extra.iter()) {
+                if planned.insert(*addr) {
+                    plans.state.push((
+                        *addr,
+                        analysis.state_plan.slots.iter().copied().collect(),
+                        analysis.state_plan.dynamic,
+                    ));
+                }
+                meta_only.extend(analysis.state_plan.accounts.iter().copied());
+                inner_targets.extend(analysis.call_targets.iter().copied());
+            }
+            // Constant inner-call targets execute their own storage
+            // accesses under their own address: give code-bearing ones
+            // a full plan too, so honest inner-call kv traffic is
+            // covered rather than merely exempted.
+            for target in inner_targets {
+                if planned.contains(&target) {
+                    continue;
+                }
+                if let Some(analysis) = self.analyze_code(&target) {
+                    planned.insert(target);
+                    plans.state.push((
+                        target,
+                        analysis.state_plan.slots.iter().copied().collect(),
+                        analysis.state_plan.dynamic,
+                    ));
+                } else {
+                    meta_only.insert(target);
+                }
+            }
+            for tx in &bundle.transactions {
+                meta_only.insert(tx.from);
+                if let Some(to) = tx.to {
+                    meta_only.insert(to);
+                }
+            }
+            meta_only.retain(|a| !planned.contains(a));
+            plans.state.extend(meta_only.into_iter().map(|a| (a, Vec::new(), false)));
+        }
+
+        if security.oram_code() {
+            if self.legacy_prefetch.get() {
+                // Pre-fix pipeline (starvation ablation): dense prefetch
+                // of every code page, no plans advertised.
+                use tape_state::StateReader as _;
+                let page_size = self.config.hevm.mem.page_size;
+                for (addr, _) in callees {
+                    let code_len = self.local.account(addr).map(|i| i.code_len).unwrap_or(0);
+                    if code_len > 0 {
+                        plans.dense.push((*addr, code_len.div_ceil(page_size) as u32));
+                    }
+                }
+            } else {
+                plans.code.extend(callees.iter().map(|(a, analysis)| (*a, analysis.clone(), true)));
+                plans.code.extend(extra.into_iter().map(|(a, analysis)| (a, analysis, false)));
+            }
+        }
+        plans
+    }
+
+    /// Step 2 on the serial executor: runs the task on the device's own
+    /// clock, telemetry and ORAM, claiming a core from the hypervisor
+    /// after `Decode`.
+    pub(crate) fn execute_serial(&mut self, task: PreparedTask) -> FinishedTask {
+        let ctx = ExecCtx {
+            security: self.config.security,
+            env: &self.env,
+            cost: &self.cost,
+            local: &self.local,
+        };
+        let mut sink = self.telemetry.clone();
+        let started = task.started;
+        let (slot, outcome) = execute_task(
+            &ctx,
+            &self.clock,
+            &mut sink,
+            self.oram.as_ref(),
+            Some(&mut self.hypervisor),
+            task,
+        );
+        FinishedTask { started, duration: 0, buffer: TaskBuffer::new(), slot, outcome }
+    }
+
+    /// Step 3, in dispatch order: hypervisor core accounting, telemetry
+    /// replay onto the shared timeline, the shared clock advance,
+    /// session revocation, and the `Seal` phase.
     ///
     /// # Errors
     ///
-    /// The post-assignment surface of
-    /// [`Self::pre_execute_preemptible`]: busy/quarantined cores, HEVM
-    /// aborts carried in the finished task, seal-channel failures.
+    /// The post-admission surface of [`Self::pre_execute_preemptible`]:
+    /// signature failures, busy/quarantined cores, HEVM aborts carried
+    /// in the finished task, seal-channel failures.
     pub(crate) fn commit_task(
         &mut self,
         user: &mut UserHandle,
         finished: FinishedTask,
     ) -> Result<PreExecOutcome, ServiceError> {
-        let FinishedTask { started, duration, buffer, outcome } = finished;
-        let outcome = match outcome {
-            TaskResult::PreAssign(err) => {
-                // The sequential path fails these before taking a core:
-                // replay the partial timeline (the verify cost was
-                // spent) and surface the error.
-                buffer.replay_into(&self.telemetry, self.clock.now());
-                self.clock.advance(duration);
-                return Err(err);
-            }
-            other => other,
+        let FinishedTask { started, duration, buffer, slot, outcome } = finished;
+        let slot = match (&outcome, slot) {
+            (TaskResult::PreAssign(_), _) => None,
+            (_, Some(slot)) => Some(slot),
+            // A pooled task takes its core here, in commit order — the
+            // pool holds at most one slot at a time, exactly like the
+            // serial executor. A task refused a core is discarded
+            // without advancing the clock (its execution never happened
+            // on the shared timeline).
+            (_, None) => Some(self.hypervisor.assign(user.session).map_err(slot_error)?),
         };
-        // Exclusive HEVM assignment, per task in commit order — the
-        // pool holds at most one slot at a time, exactly like the
-        // sequential drain. A task refused a core is discarded without
-        // advancing the clock (its execution never happened on the
-        // shared timeline).
-        let slot = self.hypervisor.assign(user.session).map_err(|e| match e {
-            SlotError::AllQuarantined => ServiceError::AllCoresQuarantined,
-            _ => ServiceError::Busy,
-        })?;
         buffer.replay_into(&self.telemetry, self.clock.now());
         self.clock.advance(duration);
-        let core_failure = matches!(
-            &outcome,
-            TaskResult::Failed(ServiceError::Hevm(
-                HevmAbort::Layer3Tampered | HevmAbort::Watchdog { .. }
-            ))
-        );
-        if core_failure {
-            if !self.hypervisor.record_failure(slot) {
+        if let Some(slot) = slot {
+            // Hardware-level failures (layer-3 integrity violations,
+            // watchdog trips) count against the core; three in a row
+            // quarantine it — a quarantined core is pulled from rotation
+            // instead of released. A preemption is a success: the core
+            // did its slice and returns to the pool.
+            let core_failure = matches!(
+                &outcome,
+                TaskResult::Failed(ServiceError::Hevm(
+                    HevmAbort::Layer3Tampered | HevmAbort::Watchdog { .. }
+                ))
+            );
+            if core_failure {
+                if !self.hypervisor.record_failure(slot) {
+                    self.hypervisor
+                        .release(slot, user.session)
+                        .expect("slot was assigned above");
+                }
+            } else {
+                self.hypervisor.record_success(slot);
                 self.hypervisor
                     .release(slot, user.session)
                     .expect("slot was assigned above");
             }
-        } else {
-            self.hypervisor.record_success(slot);
-            self.hypervisor
-                .release(slot, user.session)
-                .expect("slot was assigned above");
         }
+        // Integrity failures revoke the session: the bundle is aborted
+        // and the user must re-attest before submitting another one.
         if matches!(
             &outcome,
             TaskResult::Failed(
@@ -2110,17 +1902,16 @@ impl HarDTape {
             self.revoked.insert(user.session);
         }
         match outcome {
-            TaskResult::PreAssign(_) => unreachable!("handled above"),
-            TaskResult::Failed(err) => Err(err),
+            TaskResult::PreAssign(err) | TaskResult::Failed(err) => Err(err),
             TaskResult::Preempted(mut pause) => {
                 pause.started = started;
                 pause.session = user.session;
                 Ok(PreExecOutcome::Preempted(pause))
             }
             TaskResult::Done { mut report, trace } => {
-                let security = self.config.security;
+                // Device → user: seal the signed trace.
                 let seal_started = self.clock.now();
-                if security.encryption() {
+                if self.config.security.encryption() {
                     let sealed = user.device_tx.seal(&trace);
                     self.clock
                         .advance(self.cost.protected_message_ns(sealed.sealed.len()));
@@ -2140,226 +1931,163 @@ impl HarDTape {
     }
 }
 
-/// Phase 2 of pooled execution: runs one prepared task to its segment
-/// boundary (or completion) against a private clock starting at zero
-/// and a private telemetry buffer. Takes no `&self` — a pure function
-/// of the task and the read-only context — so N workers produce
-/// byte-identical results to one.
-pub(crate) fn execute_task(ctx: &ExecCtx<'_>, task: PreparedTask) -> FinishedTask {
-    let clock = Clock::new();
-    let mut sink = TaskBuffer::new();
-    let PreparedTask { started, device_key, kind } = task;
-    let outcome = match kind {
-        TaskKind::Fresh { bundle, payload, user_key, lints, hevm_config } => {
-            execute_fresh(
-                ctx,
-                &clock,
-                &mut sink,
-                &bundle,
-                &payload,
-                &user_key,
-                &device_key,
-                lints,
-                hevm_config,
-            )
-        }
-        TaskKind::Resume { bundle, pause } => {
-            execute_resume(ctx, &clock, &mut sink, &bundle, &device_key, pause)
-        }
-    };
-    FinishedTask { started, duration: clock.now(), buffer: sink, outcome }
+/// A hypervisor refusal as the service reports it.
+fn slot_error(err: SlotError) -> ServiceError {
+    match err {
+        SlotError::AllQuarantined => ServiceError::AllCoresQuarantined,
+        _ => ServiceError::Busy,
+    }
 }
 
-/// A fresh bundle's worker half: user signature (deferred from prepare
-/// — it costs no virtual time and keeps the expensive host-side ECDSA
-/// in the parallel phase), verification, and the first segment.
-#[allow(clippy::too_many_arguments)]
-fn execute_fresh(
+/// Step 2 on the threaded executor: runs one prepared task against a
+/// private clock starting at zero and a private telemetry buffer. Takes
+/// no device — a pure function of the task and the read-only context —
+/// so N workers produce byte-identical results to one.
+pub(crate) fn execute_pooled(ctx: &ExecCtx<'_>, task: PreparedTask) -> FinishedTask {
+    let clock = Clock::new();
+    let mut buffer = TaskBuffer::new();
+    let started = task.started;
+    let (slot, outcome) = execute_task(ctx, &clock, &mut buffer, None, None, task);
+    FinishedTask { started, duration: clock.now(), buffer, slot, outcome }
+}
+
+/// Step 2: runs one prepared task to its segment boundary (or
+/// completion) against the executor's `clock`, `sink` and `oram`.
+/// A fresh bundle first verifies the user's signature (`Decode`); with
+/// `cores` (serial executor) a core is then claimed, and a task refused
+/// one ends before touching the clock or the ORAM again. Returns the
+/// claimed core, if any, with the outcome.
+fn execute_task<S: Sink>(
     ctx: &ExecCtx<'_>,
     clock: &Clock,
-    sink: &mut TaskBuffer,
-    bundle: &Bundle,
-    payload: &[u8],
-    user_key: &SecretKey,
-    device_key: &SecretKey,
-    lints: Vec<(Address, LintFinding)>,
-    hevm_config: HevmConfig,
-) -> TaskResult {
-    let signature = ctx.security.signature().then(|| sign_bundle(user_key, payload));
-    let decode_started = clock.now();
-    if let Some(sig) = &signature {
-        clock.advance(ctx.cost.ecdsa_verify_ns);
-        if let Err(err) = verify_bundle(&user_key.public_key(), payload, sig) {
-            return TaskResult::PreAssign(ServiceError::Channel(err));
+    sink: &mut S,
+    oram: Option<&ObliviousState>,
+    cores: Option<&mut Hypervisor>,
+    task: PreparedTask,
+) -> (Option<usize>, TaskResult) {
+    let PreparedTask { session, device_key, kind, .. } = task;
+    if let TaskKind::Fresh { payload, user_key, .. } = &kind {
+        // The user signs here rather than at prepare: it costs no
+        // virtual time and keeps the host-expensive ECDSA in this step.
+        // The device then verifies it on the A53.
+        let decode_started = clock.now();
+        if ctx.security.signature() {
+            let signature = sign_bundle(user_key, payload);
+            clock.advance(ctx.cost.ecdsa_verify_ns);
+            if let Err(err) = verify_bundle(&user_key.public_key(), payload, &signature) {
+                return (None, TaskResult::PreAssign(ServiceError::Channel(err)));
+            }
         }
+        record_phase_into(sink, clock, PhaseKind::Decode, decode_started);
     }
-    let at = clock.now();
-    sink.record(TelemetryEvent::Phase {
-        at,
-        phase: PhaseKind::Decode,
-        ns: at - decode_started,
-    });
+    // Exclusive HEVM assignment, per segment (a paused bundle holds no
+    // core). The serial executor claims its core here, before anything
+    // touches the ORAM, so a bundle refused one never runs; pooled
+    // tasks take theirs at commit.
+    let slot = match cores.map(|cores| cores.assign(session)) {
+        None => None,
+        Some(Ok(slot)) => Some(slot),
+        Some(Err(err)) => return (None, TaskResult::PreAssign(slot_error(err))),
+    };
 
     let execute_started = clock.now();
-    let reader = HybridState::new(ctx.security, ctx.local, None);
-    let mut hevm =
-        Hevm::new(hevm_config.clone(), ctx.env.clone(), reader, clock.clone());
-    // Same first-dispatch charge as the sequential fresh path: putting
-    // the bundle onto a core is a context switch like any re-dispatch.
-    clock.advance(ctx.cost.sched_dispatch_ns);
-    let before = clock.now();
-    let first = bundle.transactions.first().map(|tx| hevm.transact_sliced(tx));
-    let segment = drive_segment_with(
-        bundle,
-        hevm,
-        first,
-        hevm_config,
-        Vec::with_capacity(bundle.transactions.len()),
-        Vec::with_capacity(bundle.transactions.len()),
-        0,
-        0,
-        before,
-        lints,
-        execute_started,
-        false,
-        clock,
-        ctx.cost,
-        None,
-        sink,
-    );
-    finish_task(ctx, clock, sink, device_key, execute_started, segment)
-}
-
-/// A resumed bundle's worker half: re-dispatch cost, checkpoint
-/// re-entry, and the next segment.
-fn execute_resume(
-    ctx: &ExecCtx<'_>,
-    clock: &Clock,
-    sink: &mut TaskBuffer,
-    bundle: &Bundle,
-    device_key: &SecretKey,
-    pause: BundlePause,
-) -> TaskResult {
-    let segment_started = clock.now();
-    // Same re-dispatch charge as the sequential resume path: restoring
-    // the parked HEVM state is not free.
-    clock.advance(ctx.cost.sched_dispatch_ns);
-    let BundlePause {
-        checkpoint,
-        hevm_config,
-        results,
-        per_tx,
-        tx_index,
-        tx_elapsed,
-        lints,
-        ..
-    } = pause;
-    let reader = HybridState::new(ctx.security, ctx.local, None);
-    let mut hevm = Hevm::resume(
-        hevm_config.clone(),
-        ctx.env.clone(),
-        reader,
-        clock.clone(),
-        checkpoint,
-    );
-    let before = clock.now();
-    let first = Some(hevm.continue_transact());
-    let segment = drive_segment_with(
-        bundle,
-        hevm,
-        first,
-        hevm_config,
-        results,
-        per_tx,
-        tx_index,
-        tx_elapsed,
-        before,
-        lints,
-        segment_started,
-        true,
-        clock,
-        ctx.cost,
-        None,
-        sink,
-    );
-    finish_task(ctx, clock, sink, device_key, segment_started, segment)
-}
-
-/// The shared tail of both worker halves: the `Execute` phase record,
-/// then — on completion — the report, trace encoding, and device
-/// signature (`Sign` phase). Sealing needs the sequential channel
-/// state and happens at commit.
-fn finish_task(
-    ctx: &ExecCtx<'_>,
-    clock: &Clock,
-    sink: &mut TaskBuffer,
-    device_key: &SecretKey,
-    execute_started: Nanos,
-    segment: Result<SegmentOutcome, ServiceError>,
-) -> TaskResult {
-    let at = clock.now();
-    sink.record(TelemetryEvent::Phase {
-        at,
-        phase: PhaseKind::Execute,
-        ns: at - execute_started,
-    });
-    sink.observe(HistId::ExecuteNs, at - execute_started);
-    let (results, changes, per_tx_ns, hevm_stats, lints) = match segment {
-        Err(err) => return TaskResult::Failed(err),
-        Ok(SegmentOutcome::Yielded(pause)) => return TaskResult::Preempted(pause),
-        Ok(SegmentOutcome::Finished(results, changes, per_tx, stats, lints)) => {
-            (results, changes, per_tx, stats, lints)
+    let (bundle, progress, checkpoint) = match kind {
+        TaskKind::Fresh { bundle, plans, progress, .. } => {
+            // Advertised after Decode: plans record events and batch
+            // fetch on the executor's clock.
+            if let Some(oram) = oram {
+                plans.advertise(oram);
+            }
+            (bundle, progress, None)
+        }
+        TaskKind::Resume { bundle, pause } => {
+            let BundlePause { checkpoint, progress, .. } = pause;
+            (bundle, progress, Some(checkpoint))
         }
     };
+    // Every dispatch onto a core pays the scheduler's context switch —
+    // the first as much as each re-dispatch restoring the parked HEVM
+    // state — inside the segment window but outside per-transaction
+    // time, so a bundle suspended S−1 times carries exactly 2S−1
+    // dispatch charges (S dispatches plus S−1 parks).
+    clock.advance(ctx.cost.sched_dispatch_ns);
+    // A resumed segment reads through a fresh reader: the world may
+    // have advanced a block, and pre-execution reads whatever the
+    // device's current head serves, exactly like a still-queued bundle.
+    let reader = HybridState::new(ctx.security, ctx.local, oram);
+    let config = progress.hevm_config.clone();
+    let resumed = checkpoint.is_some();
+    let hevm = match checkpoint {
+        Some(checkpoint) => {
+            Hevm::resume(config, ctx.env.clone(), reader, clock.clone(), checkpoint)
+        }
+        None => Hevm::new(config, ctx.env.clone(), reader, clock.clone()),
+    };
+    let segment =
+        run_segment(&bundle, hevm, progress, execute_started, resumed, ctx.cost, clock, oram, sink);
+
+    record_phase_into(sink, clock, PhaseKind::Execute, execute_started);
+    sink.observe(HistId::ExecuteNs, clock.now() - execute_started);
+    if let Some(oram) = oram {
+        // Segment/bundle end: on-chip caches cleared before the core
+        // can serve another tenant.
+        oram.clear_cache();
+    }
+    let (progress, changes, hevm_stats) = match segment {
+        Err(err) => return (slot, TaskResult::Failed(err)),
+        Ok(SegmentOutcome::Yielded(pause)) => return (slot, TaskResult::Preempted(pause)),
+        Ok(SegmentOutcome::Finished { progress, changes, stats }) => (progress, changes, stats),
+    };
     let mut report = BundleReport {
-        results,
+        results: progress.results,
         changes,
-        per_tx_ns,
+        per_tx_ns: progress.per_tx,
         total_ns: 0,
         signature: None,
         hevm_stats,
         staleness: None,
-        lints,
+        lints: progress.lints,
     };
+    // The device signs the trace with its attested session key; the
+    // user verifies against the quote's session public key. Sealing
+    // needs the sequential channel state and happens at commit.
     let trace = report.encode();
     let sign_started = clock.now();
     if ctx.security.signature() {
         clock.advance(ctx.cost.ecdsa_sign_ns);
-        report.signature = Some(sign_bundle(device_key, &trace));
+        report.signature = Some(sign_bundle(&device_key, &trace));
     }
+    record_phase_into(sink, clock, PhaseKind::Sign, sign_started);
+    (slot, TaskResult::Done { report, trace })
+}
+
+/// Records one completed service phase (duration since `started`).
+fn record_phase_into<S: Sink>(sink: &mut S, clock: &Clock, phase: PhaseKind, started: Nanos) {
     let at = clock.now();
-    sink.record(TelemetryEvent::Phase {
-        at,
-        phase: PhaseKind::Sign,
-        ns: at - sign_started,
-    });
-    TaskResult::Done { report, trace }
+    sink.record(TelemetryEvent::Phase { at, phase, ns: at - started });
 }
 
 /// Drives an engine (fresh or resumed) until the slice yields or the
 /// bundle retires, flushing swap traffic and segment telemetry into
-/// `sink`. Shared by the sequential device path (shared clock +
-/// [`Telemetry`]) and the worker pool (private clock + [`TaskBuffer`]).
+/// `sink`.
 #[allow(clippy::too_many_arguments)]
-fn drive_segment_with<S: Sink>(
+fn run_segment<S: Sink>(
     bundle: &Bundle,
     mut hevm: Hevm<HybridState<'_>>,
-    first: Option<Result<SliceOutcome, HevmAbort>>,
-    hevm_config: HevmConfig,
-    mut results: Vec<TxResult>,
-    mut per_tx: Vec<Nanos>,
-    mut tx_index: usize,
-    mut tx_elapsed: Nanos,
-    mut before: Nanos,
-    lints: Vec<(Address, LintFinding)>,
+    mut progress: Progress,
     segment_started: Nanos,
     resumed: bool,
-    clock: &Clock,
     cost: &CostModel,
+    clock: &Clock,
     oram: Option<&ObliviousState>,
     sink: &mut S,
 ) -> Result<SegmentOutcome, ServiceError> {
-    let mut outcome = first;
+    let mut before = clock.now();
+    let mut outcome = if resumed {
+        Some(hevm.continue_transact())
+    } else {
+        bundle.transactions.first().map(|tx| hevm.transact_sliced(tx))
+    };
     while let Some(current) = outcome.take() {
         // The StateReader interface cannot propagate ORAM failures,
         // so the pagestore parks the first one; collect it here. An
@@ -2372,18 +2100,18 @@ fn drive_segment_with<S: Sink>(
         }
         match current? {
             SliceOutcome::Done(result) => {
-                per_tx.push(tx_elapsed + (clock.now() - before));
-                tx_elapsed = 0;
-                results.push(result);
-                tx_index += 1;
-                if tx_index == bundle.transactions.len() {
+                progress.per_tx.push(progress.tx_elapsed + (clock.now() - before));
+                progress.tx_elapsed = 0;
+                progress.results.push(result);
+                progress.tx_index += 1;
+                let Some(next) = bundle.transactions.get(progress.tx_index) else {
                     break;
-                }
+                };
                 before = clock.now();
-                outcome = Some(hevm.transact_sliced(&bundle.transactions[tx_index]));
+                outcome = Some(hevm.transact_sliced(next));
             }
             SliceOutcome::Preempted { segment } => {
-                tx_elapsed += clock.now() - before;
+                progress.tx_elapsed += clock.now() - before;
                 // Parking the context costs scheduler time on top of
                 // the cover swaps; charge it to the segment (not the
                 // transaction) so suspension is never free.
@@ -2418,12 +2146,7 @@ fn drive_segment_with<S: Sink>(
                 sink.observe(HistId::SliceNs, clock.now() - segment_started);
                 return Ok(SegmentOutcome::Yielded(BundlePause {
                     checkpoint,
-                    hevm_config,
-                    results,
-                    per_tx,
-                    tx_index,
-                    tx_elapsed,
-                    lints,
+                    progress,
                     started: 0,
                     session: 0,
                 }));
@@ -2448,7 +2171,7 @@ fn drive_segment_with<S: Sink>(
     if let Some(pf) = oram.and_then(|o| o.prefetch_stats()) {
         sink.gauge(GaugeId::PrefetchGapEmaNs, pf.avg_gap_ns);
     }
-    Ok(SegmentOutcome::Finished(results, changes, per_tx, stats, lints))
+    Ok(SegmentOutcome::Finished { progress, changes, stats })
 }
 
 /// One layer-3 swap event into counters and the event stream.

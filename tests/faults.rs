@@ -15,6 +15,7 @@ use tape_oram::OramError;
 use tape_primitives::{Address, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use tape_sim::resources::MemoryConfig;
+use tape_sim::telemetry::{PhaseKind, TelemetryEvent};
 use tape_state::{Account, InMemoryState};
 use tape_tee::ChannelError;
 use tape_workload::contracts;
@@ -314,18 +315,27 @@ fn watchdog_aborts_runaway_execution() {
 
 #[test]
 fn persistently_failing_core_is_quarantined_and_the_rest_keep_serving() {
+    // Per level, a watchdog budget an honest transfer fits well under
+    // while the spin loop still trips it. -full pays ORAM round trips:
+    // its honest transfer takes ~11 ms and the spin ~150 ms before it
+    // runs out of gas, so 50 ms sits between them.
+    for (level, watchdog_ns) in
+        [(SecurityConfig::Raw, 5_000_000), (SecurityConfig::Full, 50_000_000)]
+    {
+        quarantine_at(level, watchdog_ns);
+    }
+}
+
+fn quarantine_at(level: SecurityConfig, watchdog_ns: u64) {
     let mut state = genesis();
     let spin = Address::from_low_u64(0x5417);
     state.put_account(
         spin,
         Account::with_code(Asm::new().label("top").push(1u64).op(op::POP).jump("top").build()),
     );
-    let mut config = ServiceConfig {
-        oram_height: 10,
-        hevm_count: 2,
-        ..ServiceConfig::at_level(SecurityConfig::Raw)
-    };
-    config.hevm.watchdog_ns = Some(5_000_000);
+    let mut config =
+        ServiceConfig { oram_height: 10, hevm_count: 2, ..ServiceConfig::at_level(level) };
+    config.hevm.watchdog_ns = Some(watchdog_ns);
     let mut device = HarDTape::new(config, Env::default(), &state).expect("device boots");
     let mut user = device.connect_user(b"quarantine driver").unwrap();
 
@@ -339,25 +349,46 @@ fn persistently_failing_core_is_quarantined_and_the_rest_keep_serving() {
     for _ in 0..3 {
         match device.pre_execute(&mut user, &spin_bundle()) {
             Err(ServiceError::Hevm(HevmAbort::Watchdog { .. })) => {}
-            other => panic!("expected Hevm(Watchdog), got {other:?}"),
+            other => panic!("{level}: expected Hevm(Watchdog), got {other:?}"),
         }
     }
 
     // Core 1 still serves honest bundles.
     let report = device.pre_execute(&mut user, &erc20_transfer_bundle()).unwrap();
-    assert!(report.results[0].success);
+    assert!(report.results[0].success, "{level}: honest transfer failed");
 
     // Three more trips quarantine core 1 too: the device reports it.
     for _ in 0..3 {
         match device.pre_execute(&mut user, &spin_bundle()) {
             Err(ServiceError::Hevm(HevmAbort::Watchdog { .. })) => {}
-            other => panic!("expected Hevm(Watchdog), got {other:?}"),
+            other => panic!("{level}: expected Hevm(Watchdog), got {other:?}"),
         }
     }
-    match device.pre_execute(&mut user, &erc20_transfer_bundle()) {
+    // A bundle refused a core never runs: no Execute phase reaches the
+    // shared timeline and the ORAM sees no query. Bob's account is in
+    // no pinned plan yet, so advertising this bundle's plans would
+    // query the ORAM.
+    let recorded = device.telemetry().recorded();
+    let oram_before = device.oram_stats();
+    let unplanned = Bundle::single(Transaction::transfer(bob(), alice(), U256::from(1u64)));
+    match device.pre_execute(&mut user, &unplanned) {
         Err(ServiceError::AllCoresQuarantined) => {}
-        other => panic!("expected AllCoresQuarantined, got {other:?}"),
+        other => panic!("{level}: expected AllCoresQuarantined, got {other:?}"),
     }
+    let events = device.telemetry().events();
+    let fresh = (device.telemetry().recorded() - recorded) as usize;
+    assert!(
+        !events[events.len() - fresh..].iter().any(|e| matches!(
+            e,
+            TelemetryEvent::Phase { phase: PhaseKind::Execute, .. }
+        )),
+        "{level}: a bundle refused a core recorded an Execute phase"
+    );
+    assert_eq!(
+        device.oram_stats(),
+        oram_before,
+        "{level}: a bundle refused a core queried the ORAM"
+    );
 }
 
 // ---------------------------------------------------------------------

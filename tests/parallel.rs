@@ -1,14 +1,17 @@
-//! Cross-worker-count determinism suite for the pooled runtime.
+//! Cross-worker-count determinism suite for the dispatch pipeline.
 //!
 //! The worker pool's contract is that parallelism is a host-side
 //! implementation detail: for the same seed, a gateway draining with
 //! 1, 2, or 4 workers must produce **byte-identical** schedule + event
 //! stream digests and byte-identical receipts, with the §IV-D leakage
-//! audit green at every worker count. These tests pin that contract
-//! in-process (`scripts/verify.sh --soak` additionally pins it
-//! cross-process against the full chaos rigs), plus the deterministic
-//! merge rule itself: completions at the same virtual timestamp
-//! surface in admission-ticket order, never host-arrival order.
+//! audit green at every worker count — on the threaded executor
+//! (`-ES`) and on the serial one an ORAM device uses (`-full`, where
+//! the worker count must change nothing at all). These tests pin that
+//! contract in-process (`scripts/verify.sh --soak` additionally pins
+//! it cross-process against the full chaos rigs), plus the
+//! deterministic merge rule itself: completions at the same virtual
+//! timestamp surface in admission-ticket order, never host-arrival
+//! order.
 
 use hardtape::{
     merge_completions, Bundle, Completion, Gateway, GatewayConfig, GatewayError, HarDTape,
@@ -75,15 +78,14 @@ fn bomb_bundle() -> Bundle {
 /// rendered error for failures.
 type Receipts = Vec<(u64, bool, Vec<u8>)>;
 
-/// One seeded run at the given worker count: interleaved transfers
-/// from three tenants, seeded channel adversaries (tamper/drop →
-/// revocations), periodic gas bombs that preempt at the 100k slice and
-/// resume across rounds, DRR drains under pressure, full drain at the
-/// end. Asserts exactly-once and the §IV-D audit, returns the combined
-/// digest and the receipts.
-fn pooled_run(seed: u64, workers: usize) -> (String, Receipts) {
-    let mut service =
-        ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Es) };
+/// One seeded run at the given security level and worker count:
+/// interleaved transfers from three tenants, seeded channel adversaries
+/// (tamper/drop → revocations), periodic gas bombs that preempt at the
+/// 100k slice and resume across rounds, DRR drains under pressure, full
+/// drain at the end. Asserts exactly-once and the §IV-D audit, returns
+/// the combined digest and the receipts.
+fn pooled_run(level: SecurityConfig, seed: u64, workers: usize) -> (String, Receipts) {
+    let mut service = ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(level) };
     service.hevm.gas_slice = Some(100_000);
     let mut gateway = Gateway::new(
         HarDTape::new(service, Env::default(), &genesis()).expect("device boots"),
@@ -183,20 +185,24 @@ fn pooled_run(seed: u64, workers: usize) -> (String, Receipts) {
 
 #[test]
 fn digests_and_receipts_are_byte_identical_across_worker_counts() {
-    for seed in [0xC0FFEE_u64, 0x9A11E7] {
-        let (digest_1, receipts_1) = pooled_run(seed, 1);
-        for workers in [2usize, 4] {
-            let (digest_n, receipts_n) = pooled_run(seed, workers);
-            assert_eq!(
-                digest_1, digest_n,
-                "seed {seed}: digest diverged between 1 and {workers} workers"
-            );
-            assert_eq!(
-                receipts_1, receipts_n,
-                "seed {seed}: receipts diverged between 1 and {workers} workers"
-            );
+    // `-ES` runs the threaded executor; an ORAM device (`-full`)
+    // executes serially, where the worker count must change nothing.
+    for level in [SecurityConfig::Es, SecurityConfig::Full] {
+        for seed in [0xC0FFEE_u64, 0x9A11E7] {
+            let (digest_1, receipts_1) = pooled_run(level, seed, 1);
+            for workers in [2usize, 4] {
+                let (digest_n, receipts_n) = pooled_run(level, seed, workers);
+                assert_eq!(
+                    digest_1, digest_n,
+                    "{level} seed {seed}: digest diverged between 1 and {workers} workers"
+                );
+                assert_eq!(
+                    receipts_1, receipts_n,
+                    "{level} seed {seed}: receipts diverged between 1 and {workers} workers"
+                );
+            }
+            println!("PARALLEL_DIGEST level={level} seed={seed} digest={digest_1}");
         }
-        println!("PARALLEL_DIGEST seed={seed} digest={digest_1}");
     }
 }
 
@@ -205,10 +211,10 @@ fn retry_hints_divide_the_same_backlog_by_the_worker_count() {
     // Identical queue, different pool size: the quoted hint must be
     // the backlog divided by the workers that actually drain it. The
     // backlog itself (what the digest records) is worker-independent.
-    let hint_at = |workers: usize| {
+    let hint_at = |level: SecurityConfig, workers: usize| {
         let mut gateway = Gateway::new(
             HarDTape::new(
-                ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(SecurityConfig::Es) },
+                ServiceConfig { oram_height: 10, ..ServiceConfig::at_level(level) },
                 Env::default(),
                 &genesis(),
             )
@@ -221,12 +227,17 @@ fn retry_hints_divide_the_same_backlog_by_the_worker_count() {
         }
         gateway.retry_after_hint()
     };
-    let one = hint_at(1);
-    let two = hint_at(2);
-    let four = hint_at(4);
+    let one = hint_at(SecurityConfig::Es, 1);
+    let two = hint_at(SecurityConfig::Es, 2);
+    let four = hint_at(SecurityConfig::Es, 4);
     // With one worker the hint IS the backlog; wider pools divide it.
     assert_eq!(two, one.div_ceil(2), "2-worker hint must halve the 1-worker backlog");
     assert_eq!(four, one.div_ceil(4), "4-worker hint must quarter the 1-worker backlog");
+    // An ORAM device executes serially: one thread drains it whatever
+    // the pool size, so the hint must not shrink with more workers.
+    let serial = hint_at(SecurityConfig::Full, 1);
+    assert_eq!(hint_at(SecurityConfig::Full, 2), serial, "-full hint changed at 2 workers");
+    assert_eq!(hint_at(SecurityConfig::Full, 4), serial, "-full hint changed at 4 workers");
 }
 
 #[test]
