@@ -23,7 +23,7 @@
 //! blow the tail unboundedly. The committed JSON is the measured
 //! evidence; `scripts/verify.sh --bench` regenerates and re-checks it.
 //!
-//! A dead device's frozen log keeps its never-completed admits; work
+//! A dead device's completions are left out of the latencies; work
 //! resubmitted on a survivor is measured from its re-admission there.
 //! The failover gap itself is visible in the makespan, not the
 //! per-bundle latencies.
@@ -41,14 +41,15 @@
 //! agree — the fleet schedule (sharding, migration, resubmission
 //! order) is deterministic per seed, or the benchmark fails.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use hardtape::{Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig};
 use tape_evm::{Env, Transaction};
-use tape_fleet::{FleetConfig, FleetError, FleetRouter, FleetStats};
+use tape_fleet::{FleetCompletion, FleetConfig, FleetError, FleetRouter, FleetStats};
 use tape_node::{BlockFeed, FeedSet, FeedSetConfig, Node};
 use tape_primitives::{Address, U256};
-use tape_sim::queue::{interleave, EventLog};
+use tape_bench::{baseline_field, json_escape, percentile};
+use tape_sim::queue::interleave;
 use tape_state::{Account, InMemoryState};
 
 const SEED: u64 = 0xF1EE7;
@@ -123,42 +124,6 @@ fn router(devices: usize, seed: u64) -> FleetRouter {
         })
         .collect();
     FleetRouter::new(gateways, FleetConfig::default())
-}
-
-/// Admit→complete virtual latencies parsed from one gateway's event
-/// log, plus the device's last completion timestamp (for makespan).
-fn gateway_latencies(log: &EventLog) -> (Vec<u64>, u64) {
-    let mut admits: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
-    let mut last_complete = 0u64;
-    for line in log.lines() {
-        let mut parts = line.split_whitespace();
-        let Some(t) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("t="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let Some(verb) = parts.next() else { continue };
-        let ticket = parts
-            .nth(1)
-            .and_then(|p| p.strip_prefix("ticket="))
-            .and_then(|v| v.parse::<u64>().ok());
-        match (verb, ticket) {
-            ("admit", Some(k)) => {
-                admits.insert(k, t);
-            }
-            ("complete", Some(k)) => {
-                if let Some(&at) = admits.get(&k) {
-                    out.push(t - at);
-                    last_complete = last_complete.max(t);
-                }
-            }
-            _ => {}
-        }
-    }
-    (out, last_complete)
 }
 
 struct ScenarioOutcome {
@@ -260,17 +225,18 @@ fn run_scenario(devices: usize, seed: u64, kill_at: Option<usize>) -> ScenarioOu
     assert_eq!(stats.completed_ok + stats.completed_err, stats.admitted);
     router.converged_head().expect("survivors agree on one head");
 
-    let mut latencies = Vec::new();
-    let mut makespan_ns = 0u64;
+    // The crashed device is left out: its resubmitted work is measured
+    // on the survivors.
+    let killed = kill_at.map(|_| KILL_DEVICE);
+    let served: Vec<&FleetCompletion> = completions
+        .iter()
+        .filter(|c| c.outcome.is_ok() && Some(c.device) != killed)
+        .collect();
+    let mut latencies: Vec<u64> = served.iter().map(|c| c.completed_at - c.admitted_at).collect();
+    let makespan_ns = served.iter().map(|c| c.completed_at).max().unwrap_or(0);
     let mut staleness_max_ns = 0u64;
     let mut served_stale = 0u64;
-    for d in 0..devices {
-        if kill_at.is_some() && d == KILL_DEVICE {
-            continue; // frozen log: its resubmitted work is measured on survivors
-        }
-        let (device_latencies, last_complete) = gateway_latencies(router.gateway(d).log());
-        latencies.extend(device_latencies);
-        makespan_ns = makespan_ns.max(last_complete);
+    for d in (0..devices).filter(|&d| Some(d) != killed) {
         staleness_max_ns = staleness_max_ns.max(router.gateway(d).staleness_ns());
         served_stale += router.gateway(d).stats().served_stale;
     }
@@ -287,14 +253,6 @@ fn run_scenario(devices: usize, seed: u64, kill_at: Option<usize>) -> ScenarioOu
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Jain's fairness index over per-device completed-bundle counts:
 /// 1.0 = perfectly even, 1/n = all work on one device.
 fn jain_index(xs: &[u64]) -> f64 {
@@ -305,32 +263,6 @@ fn jain_index(xs: &[u64]) -> f64 {
         return 1.0;
     }
     (sum * sum) / (n * sum_sq)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts a `"<key>": <number>` value from a previously written
-/// report, by hand — the workspace is hermetic (no serde).
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)?;
-    let rest = &text[at + needle.len()..];
-    let end = rest
-        .find(|c: char| c != ' ' && c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 struct Baseline {

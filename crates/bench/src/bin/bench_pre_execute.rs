@@ -7,18 +7,14 @@
 //!
 //! Flags:
 //!
-//! * `--starve` — negative control: re-arms the prefetcher deadline on
-//!   every real query (the pre-fix starvation bug) and *expects the
-//!   auditor to fail*. Exit code 0 means the leak was detected.
-//! * `--omit-plan` — negative control for the plan-coverage check: the
-//!   device withholds the last advertised page of every static prefetch
-//!   plan (execution is untouched) and *expects the auditor to flag the
-//!   unadvertised fetch*. Exit code 0 means the gap was detected.
-//! * `--omit-state-plan` — negative control for the world-state plan
-//!   check: the ORAM layer mis-advertises the last storage group of
-//!   every state prefetch plan (the operational batch is untouched) and
-//!   *expects the auditor to flag the unadvertised kv fetch*. Exit code
-//!   0 means the gap was detected.
+//! * `--ablate NAME` — negative control: boots the device with one
+//!   [`Ablation`] and *expects the auditor to report the violation
+//!   [`Ablation::caught_by`] names*. Exit code 0 means the leak was
+//!   detected. This workload never preempts or reorgs, so it takes the
+//!   ablations whose lenses it exercises: `starve-prefetch` (the pre-fix
+//!   re-arming prefetcher → `CodeBurst`), `omit-code-plan` (a decoy page
+//!   in every code plan → `UnplannedCodePage`) and `decoy-state-plan` (a
+//!   decoy storage group in every state plan → `UnplannedStateAccess`).
 //! * `--out PATH` — output path (default `BENCH_pre_execute.json`).
 //! * `--baseline PATH` — regression guard: reads `queries_per_bundle`
 //!   and (when present) the preemption section's `short_p99`, the kv
@@ -48,12 +44,11 @@ use hardtape::{
     Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, PrecisionSummary, SecurityConfig,
     ServiceConfig,
 };
-use std::collections::HashMap;
+use tape_bench::{baseline_field, json_escape, percentile};
 use tape_evm::{Env, Transaction};
 use tape_oram::OramConfig;
 use tape_primitives::{Address, U256};
-use tape_sim::queue::EventLog;
-use tape_sim::telemetry::audit::{audit_events, AuditConfig, AuditReport};
+use tape_sim::telemetry::audit::{audit_events, Ablation, AuditConfig, AuditReport};
 use tape_sim::telemetry::{CounterId, GaugeId, HistId};
 use tape_sim::CostModel;
 use tape_sim::Scratch;
@@ -79,21 +74,18 @@ struct RunOutcome {
     audit: AuditReport,
 }
 
-fn run(
-    set: &EvalSet,
-    starve: bool,
-    omit_plan: bool,
-    omit_state_plan: bool,
-    audit_cfg: &AuditConfig,
-) -> RunOutcome {
+/// The ablations `--ablate` accepts: those whose lenses this workload
+/// exercises.
+const BENCH_ABLATIONS: [Ablation; 3] =
+    [Ablation::StarvePrefetch, Ablation::OmitCodePlan, Ablation::DecoyStatePlan];
+
+fn run(set: &EvalSet, ablation: Option<Ablation>, audit_cfg: &AuditConfig) -> RunOutcome {
     let config = ServiceConfig {
         oram_height: 14,
+        ablation,
         ..ServiceConfig::at_level(SecurityConfig::Full)
     };
     let mut device = HarDTape::new(config, set.env.clone(), &set.genesis).expect("device boots");
-    device.set_prefetch_ablation(starve);
-    device.set_plan_ablation(omit_plan);
-    device.set_state_plan_ablation(omit_state_plan);
     let mut user = device.connect_user(b"bench user").expect("attestation");
 
     let mut latencies = Vec::new();
@@ -166,47 +158,6 @@ fn tail_bomb_tx() -> Transaction {
     tx
 }
 
-/// Admit→complete virtual latencies for `sessions`, parsed from the
-/// gateway's deterministic event log.
-fn tail_latencies(log: &EventLog, sessions: &[u64]) -> Vec<u64> {
-    let mut admits: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
-    for line in log.lines() {
-        let mut parts = line.split_whitespace();
-        let Some(t) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("t="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let Some(verb) = parts.next() else { continue };
-        let Some(session) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("session="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let ticket = parts
-            .next()
-            .and_then(|p| p.strip_prefix("ticket="))
-            .and_then(|v| v.parse::<u64>().ok());
-        match (verb, ticket) {
-            ("admit", Some(k)) => {
-                admits.insert(k, t);
-            }
-            ("complete", Some(k)) if sessions.contains(&session) => {
-                if let Some(&at) = admits.get(&k) {
-                    out.push(t - at);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 struct TailOutcome {
     latencies: Vec<u64>,
     preempted: u64,
@@ -240,6 +191,7 @@ fn tail_run(bombs: bool) -> TailOutcome {
         })
         .collect();
 
+    let mut completions = Vec::new();
     for step in 0..10u64 {
         if bombs {
             // A round retires at most one bomb segment, so one refill
@@ -260,11 +212,15 @@ fn tail_run(bombs: bool) -> TailOutcome {
             ));
             gateway.submit(session, bundle).expect("honest short bundle admitted");
         }
-        gateway.run_round();
+        completions.extend(gateway.run_round());
     }
-    gateway.run_until_idle();
+    completions.extend(gateway.run_until_idle());
     TailOutcome {
-        latencies: tail_latencies(gateway.log(), &honest),
+        latencies: completions
+            .iter()
+            .filter(|c| c.outcome.is_ok() && honest.contains(&c.session))
+            .map(|c| c.completed_at - c.admitted_at)
+            .collect(),
         preempted: gateway.stats().preempted,
     }
 }
@@ -431,42 +387,6 @@ fn disk_run(dir: Option<&std::path::Path>) -> (u64, u64) {
     (wall_ns, queries)
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Minimal JSON string escape (the only dynamic strings are digests and
-/// violation messages — no exotic code points expected, but stay safe).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts a `"<key>": <number>` value from a previously written
-/// report, by hand — the workspace is hermetic (no serde).
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)?;
-    let rest = &text[at + needle.len()..];
-    let end = rest
-        .find(|c: char| c != ' ' && c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// Baseline guard inputs: `queries_per_bundle` is mandatory (every
 /// committed report has it); `short_p99` and the per-worker-count
 /// wall-clock medians are optional so the guard tolerates baselines
@@ -511,17 +431,21 @@ fn read_baseline(path: &str) -> Baseline {
 }
 
 fn main() {
-    let mut starve = false;
-    let mut omit_plan = false;
-    let mut omit_state_plan = false;
+    let mut ablation: Option<Ablation> = None;
     let mut out_path = String::from("BENCH_pre_execute.json");
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--starve" => starve = true,
-            "--omit-plan" => omit_plan = true,
-            "--omit-state-plan" => omit_state_plan = true,
+            "--ablate" => {
+                let name = args.next().unwrap_or_default();
+                ablation = Ablation::from_name(&name).filter(|a| BENCH_ABLATIONS.contains(a));
+                if ablation.is_none() {
+                    let names: Vec<&str> = BENCH_ABLATIONS.iter().map(|a| a.name()).collect();
+                    eprintln!("--ablate takes one of {} (got {name:?})", names.join(", "));
+                    std::process::exit(2);
+                }
+            }
             "--out" => {
                 out_path = args.next().unwrap_or_else(|| {
                     eprintln!("--out requires a path");
@@ -536,8 +460,8 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "usage: bench_pre_execute [--starve] [--omit-plan] [--omit-state-plan] \
-                     [--out PATH] [--baseline PATH] (got {other:?})"
+                    "usage: bench_pre_execute [--ablate NAME] [--out PATH] [--baseline PATH] \
+                     (got {other:?})"
                 );
                 std::process::exit(2);
             }
@@ -548,9 +472,9 @@ fn main() {
 
     let set = EvalSet::generate(&tape_bench::eval_config());
     println!(
-        "bench_pre_execute: {} txs, -full, starve={starve}, omit_plan={omit_plan}, \
-         omit_state_plan={omit_state_plan}",
-        set.len()
+        "bench_pre_execute: {} txs, -full, ablation={}",
+        set.len(),
+        ablation.map_or("none", Ablation::name)
     );
 
     // Burst threshold derived from the cost model: a paced fetch stalls
@@ -564,9 +488,9 @@ fn main() {
         ..AuditConfig::default()
     };
 
-    let ablated = starve || omit_plan || omit_state_plan;
-    let first = run(&set, starve, omit_plan, omit_state_plan, &audit_cfg);
-    let second = run(&set, starve, omit_plan, omit_state_plan, &audit_cfg);
+    let ablated = ablation.is_some();
+    let first = run(&set, ablation, &audit_cfg);
+    let second = run(&set, ablation, &audit_cfg);
     let digests_match = first.digest == second.digest;
 
     // Gas-bomb tail scenario (skipped on ablation runs — those are
@@ -786,7 +710,7 @@ fn main() {
         ),
         txs = first.txs,
         bundles = first.bundles,
-        starve = starve,
+        starve = ablation == Some(Ablation::StarvePrefetch),
         p50 = p50,
         p90 = p90,
         p99 = p99,
@@ -803,8 +727,8 @@ fn main() {
         preempt = preempt_json,
         workers = workers_json,
         disk = disk_json,
-        omit_plan = omit_plan,
-        omit_state_plan = omit_state_plan,
+        omit_plan = ablation == Some(Ablation::OmitCodePlan),
+        omit_state_plan = ablation == Some(Ablation::DecoyStatePlan),
         planned = stats.planned_pages,
         cpf = stats.code_page_fetches,
         unplanned = stats.unplanned_fetches,
@@ -1016,35 +940,12 @@ fn main() {
             }
         }
     }
-    if ablated {
-        if first.audit.passed() {
-            let which = if starve {
-                "starvation"
-            } else if omit_plan {
-                "plan-omission"
-            } else {
-                "state-plan-omission"
-            };
-            eprintln!("FAIL: {which} ablation was NOT detected by the leakage auditor");
-            std::process::exit(1);
-        }
-        if omit_plan
-            && !first
-                .audit
-                .violations
-                .iter()
-                .any(|v| matches!(v, tape_sim::telemetry::audit::Violation::UnplannedCodePage { .. }))
-        {
-            eprintln!("FAIL: plan omission detected, but not as an UnplannedCodePage violation");
-            std::process::exit(1);
-        }
-        if omit_state_plan
-            && !first.audit.violations.iter().any(|v| {
-                matches!(v, tape_sim::telemetry::audit::Violation::UnplannedStateAccess { .. })
-            })
-        {
+    if let Some(ablation) = ablation {
+        if !first.audit.violations.iter().any(|v| ablation.caught_by(v)) {
             eprintln!(
-                "FAIL: state-plan omission detected, but not as an UnplannedStateAccess violation"
+                "FAIL: {} ablation was NOT caught by its lens (audit passed: {})",
+                ablation.name(),
+                first.audit.passed()
             );
             std::process::exit(1);
         }

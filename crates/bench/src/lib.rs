@@ -2,7 +2,7 @@
 //!
 //! The evaluation harness: shared plumbing for the binaries that
 //! regenerate every table and figure of the paper (see DESIGN.md's
-//! experiment index) and for the Criterion micro-benchmarks.
+//! experiment index) and for the in-repo `micro` timing harness.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -80,6 +80,44 @@ pub fn eval_config() -> tape_workload::EvalSetConfig {
 /// Pretty-prints a virtual-nanosecond mean as milliseconds.
 pub fn ms(ns: f64) -> String {
     format!("{:8.2} ms", ns / 1e6)
+}
+
+/// Ceil nearest-rank percentile of an ascending-sorted sample (0 when
+/// empty): the value at rank ⌈p/100 · n⌉, clamped to `1..=n`.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Minimal JSON string escape (the only dynamic strings in the bench
+/// reports are digests and violation messages).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Extracts a `"<key>": <number>` value from a previously written
+/// report, by hand — the workspace is hermetic (no serde).
+pub fn baseline_field(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle)?;
+    let rest = &text[at + needle.len()..];
+    let end = rest
+        .find(|c: char| c != ' ' && c != '.' && c != '-' && !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
 }
 
 #[cfg(test)]

@@ -144,6 +144,10 @@ pub struct Completion {
     pub ticket: u64,
     /// The owning session.
     pub session: u64,
+    /// Virtual time the bundle was admitted.
+    pub admitted_at: Nanos,
+    /// Virtual time this completion was produced.
+    pub completed_at: Nanos,
     /// Report, or the typed error that terminated the bundle.
     pub outcome: Result<BundleReport, GatewayError>,
 }
@@ -154,9 +158,9 @@ pub struct Completion {
 /// time only, so two tasks that finish at the same *virtual* instant
 /// (e.g. two zero-cost sheds in one round) must not surface in
 /// host-arrival order — the ticket tiebreak pins them.
-pub fn merge_completions(mut timed: Vec<(Nanos, Completion)>) -> Vec<Completion> {
-    timed.sort_by_key(|(at, completion)| (*at, completion.ticket));
-    timed.into_iter().map(|(_, completion)| completion).collect()
+pub fn merge_completions(mut completions: Vec<Completion>) -> Vec<Completion> {
+    completions.sort_by_key(|completion| (completion.completed_at, completion.ticket));
+    completions
 }
 
 /// One queued bundle surrendered by [`Gateway::drain_for_failover`]:
@@ -170,6 +174,8 @@ pub struct FailoverEntry {
     pub ticket: u64,
     /// The bundle itself, resubmittable on a surviving device.
     pub bundle: Bundle,
+    /// Virtual time (on the failed device's clock) it was admitted.
+    pub admitted_at: Nanos,
     /// Whether the bundle carried a mid-execution checkpoint. The
     /// checkpoint is unrecoverable (a [`BundlePause`] dies with its
     /// device); such entries must be failed, not resubmitted, or the
@@ -512,7 +518,7 @@ impl Gateway {
             queued: self.queued_total as u32,
             max_deficit,
         });
-        let mut timed: Vec<(Nanos, Completion)> = Vec::new();
+        let mut completions: Vec<Completion> = Vec::new();
         let mut dispatches: Vec<Dispatch> = Vec::new();
         let mut tasks: Vec<PreparedTask> = Vec::new();
         for index in 0..self.tenants.len() {
@@ -544,18 +550,17 @@ impl Gateway {
                     ));
                     t.count(CounterId::GwShed, 1);
                     t.record(TelemetryEvent::Shed { at: now, session, ticket: expired.ticket });
-                    timed.push((
-                        now,
-                        Completion {
-                            ticket: expired.ticket,
-                            session,
-                            outcome: Err(GatewayError::DeadlineExceeded {
-                                admitted_at: expired.admitted_at,
-                                deadline: expired.deadline,
-                                now,
-                            }),
-                        },
-                    ));
+                    completions.push(Completion {
+                        ticket: expired.ticket,
+                        session,
+                        admitted_at: expired.admitted_at,
+                        completed_at: now,
+                        outcome: Err(GatewayError::DeadlineExceeded {
+                            admitted_at: expired.admitted_at,
+                            deadline: expired.deadline,
+                            now,
+                        }),
+                    });
                 }
                 let Some(head) = self.tenants[index].queue.peek() else {
                     self.drr.forfeit(index);
@@ -594,9 +599,7 @@ impl Gateway {
                             dispatches.push(dispatch);
                         } else {
                             let finished = self.device.execute_serial(task);
-                            if let Some(completion) = self.commit(dispatch, finished) {
-                                timed.push((self.now(), completion));
-                            }
+                            completions.extend(self.commit(dispatch, finished));
                         }
                     }
                     Err(err) => {
@@ -610,31 +613,28 @@ impl Gateway {
                             "t={now} error session={session} ticket={} err={err}",
                             admitted.ticket
                         ));
-                        timed.push((
-                            now,
-                            Completion {
-                                ticket: admitted.ticket,
-                                session,
-                                outcome: Err(err),
-                            },
-                        ));
+                        completions.push(Completion {
+                            ticket: admitted.ticket,
+                            session,
+                            admitted_at: admitted.admitted_at,
+                            completed_at: now,
+                            outcome: Err(err),
+                        });
                     }
                 }
             }
         }
         if !pooled {
-            return timed.into_iter().map(|(_, completion)| completion).collect();
+            return completions;
         }
         let finished = {
             let ctx = self.device.exec_ctx();
             pool::run_tasks(self.config.workers.max(1), &ctx, tasks)
         };
         for (dispatch, finished) in dispatches.into_iter().zip(finished) {
-            if let Some(completion) = self.commit(dispatch, finished) {
-                timed.push((self.now(), completion));
-            }
+            completions.extend(self.commit(dispatch, finished));
         }
-        merge_completions(timed)
+        merge_completions(completions)
     }
 
     /// Commits one executed task onto the shared timeline (hypervisor
@@ -693,12 +693,12 @@ impl Gateway {
             if outcome.is_ok() { CounterId::GwExecuted } else { CounterId::GwFailed },
             1,
         );
+        let now = self.now();
         match &outcome {
             Ok(report) => {
                 self.stats.completed_ok += 1;
                 self.log.record(format!(
-                    "t={} complete session={session} ticket={} txs={} stale={}",
-                    self.now(),
+                    "t={now} complete session={session} ticket={} txs={} stale={}",
                     admitted.ticket,
                     report.results.len(),
                     report.staleness.is_some(),
@@ -707,13 +707,18 @@ impl Gateway {
             Err(err) => {
                 self.stats.completed_err += 1;
                 self.log.record(format!(
-                    "t={} error session={session} ticket={} err={err}",
-                    self.now(),
+                    "t={now} error session={session} ticket={} err={err}",
                     admitted.ticket
                 ));
             }
         }
-        Some(Completion { ticket: admitted.ticket, session, outcome })
+        Some(Completion {
+            ticket: admitted.ticket,
+            session,
+            admitted_at: admitted.admitted_at,
+            completed_at: now,
+            outcome,
+        })
     }
 
     /// Runs DRR rounds until every queue is empty; every bundle queued
@@ -738,33 +743,11 @@ impl Gateway {
     /// underlying [`ServiceError`] otherwise (which also counts toward
     /// opening the breaker).
     pub fn sync(&mut self, feed: &mut BlockFeed) -> Result<(), GatewayError> {
-        let now = self.now();
-        if !self.breaker.call_permitted(now) {
-            self.stats.sync_refused += 1;
-            let retry_after = self.breaker.retry_after(now);
-            self.log.record(format!("t={now} sync refused retry_after={retry_after}"));
-            self.note_breaker();
-            return Err(GatewayError::FeedBreakerOpen { retry_after });
-        }
-        match self.device.sync_from_feed_with(feed, &self.config.sync_retry) {
-            Ok(()) => {
-                self.breaker.record_success();
-                self.last_sync_at = Some(self.now());
-                self.log.record(format!("t={} sync ok", self.now()));
-                self.note_breaker();
-                Ok(())
-            }
-            Err(err) => {
-                let now = self.now();
-                self.breaker.record_failure(now);
-                self.log.record(format!(
-                    "t={now} sync err={err} breaker={}",
-                    self.breaker.state(now)
-                ));
-                self.note_breaker();
-                Err(GatewayError::Service(err))
-            }
-        }
+        let retry = self.config.sync_retry;
+        self.guarded_sync("sync", |device| device.sync_from_feed_with(feed, &retry))?;
+        self.log.record(format!("t={} sync ok", self.now()));
+        self.note_breaker();
+        Ok(())
     }
 
     /// Synchronizes the device from a Byzantine-tolerant [`FeedSet`]
@@ -782,46 +765,59 @@ impl Gateway {
     /// quorum winner, finality violations, forged proofs — all of which
     /// also count toward opening the breaker).
     pub fn sync_set(&mut self, feeds: &mut FeedSet) -> Result<SyncReport, GatewayError> {
+        let outcome = self.guarded_sync("sync-set", |device| device.sync_from_feeds(feeds))?;
+        let (shed, revalidated) = match &outcome {
+            SyncOutcome::Reorged { fork, depth, orphaned, adopted } => {
+                self.last_fork = Some(*fork);
+                self.log.record(format!(
+                    "t={} sync-set reorg depth={depth} fork={} adopted={adopted}",
+                    self.now(),
+                    fork.hash,
+                ));
+                self.repin_or_shed(*fork, orphaned.clone(), *adopted)
+            }
+            SyncOutcome::Advanced { blocks } => {
+                self.log.record(format!("t={} sync-set ok blocks={blocks}", self.now()));
+                (Vec::new(), Vec::new())
+            }
+            SyncOutcome::AlreadySynced => {
+                self.log.record(format!("t={} sync-set ok (no-op)", self.now()));
+                (Vec::new(), Vec::new())
+            }
+        };
+        self.note_breaker();
+        Ok(SyncReport { outcome, shed, revalidated })
+    }
+
+    /// The circuit breaker around one device sync, logged as `label`.
+    /// An open breaker refuses without calling `attempt`; a failure is
+    /// recorded against the breaker and returned. A success is recorded
+    /// and stamped as the last sync, and the caller logs it and then
+    /// calls [`note_breaker`](Self::note_breaker).
+    fn guarded_sync<T>(
+        &mut self,
+        label: &str,
+        attempt: impl FnOnce(&mut HarDTape) -> Result<T, ServiceError>,
+    ) -> Result<T, GatewayError> {
         let now = self.now();
         if !self.breaker.call_permitted(now) {
             self.stats.sync_refused += 1;
             let retry_after = self.breaker.retry_after(now);
-            self.log.record(format!("t={now} sync-set refused retry_after={retry_after}"));
+            self.log.record(format!("t={now} {label} refused retry_after={retry_after}"));
             self.note_breaker();
             return Err(GatewayError::FeedBreakerOpen { retry_after });
         }
-        match self.device.sync_from_feeds(feeds) {
-            Ok(outcome) => {
+        match attempt(&mut self.device) {
+            Ok(value) => {
                 self.breaker.record_success();
                 self.last_sync_at = Some(self.now());
-                let (shed, revalidated) = match &outcome {
-                    SyncOutcome::Reorged { fork, depth, orphaned, adopted } => {
-                        self.last_fork = Some(*fork);
-                        self.log.record(format!(
-                            "t={} sync-set reorg depth={depth} fork={} adopted={adopted}",
-                            self.now(),
-                            fork.hash,
-                        ));
-                        self.repin_or_shed(*fork, orphaned.clone(), *adopted)
-                    }
-                    SyncOutcome::Advanced { blocks } => {
-                        self.log
-                            .record(format!("t={} sync-set ok blocks={blocks}", self.now()));
-                        (Vec::new(), Vec::new())
-                    }
-                    SyncOutcome::AlreadySynced => {
-                        self.log.record(format!("t={} sync-set ok (no-op)", self.now()));
-                        (Vec::new(), Vec::new())
-                    }
-                };
-                self.note_breaker();
-                Ok(SyncReport { outcome, shed, revalidated })
+                Ok(value)
             }
             Err(err) => {
                 let now = self.now();
                 self.breaker.record_failure(now);
                 self.log.record(format!(
-                    "t={now} sync-set err={err} breaker={}",
+                    "t={now} {label} err={err} breaker={}",
                     self.breaker.state(now)
                 ));
                 self.note_breaker();
@@ -916,7 +912,13 @@ impl Gateway {
         let t = self.device.telemetry();
         t.count(CounterId::GwShed, 1);
         t.record(TelemetryEvent::Shed { at: now, session, ticket: admitted.ticket });
-        shed.push(Completion { ticket: admitted.ticket, session, outcome: Err(error) });
+        shed.push(Completion {
+            ticket: admitted.ticket,
+            session,
+            admitted_at: admitted.admitted_at,
+            completed_at: now,
+            outcome: Err(error),
+        });
     }
 
     /// The fork point of the most recent reorg the device applied
@@ -1060,6 +1062,7 @@ impl Gateway {
                     session,
                     ticket: admitted.ticket,
                     bundle: admitted.bundle,
+                    admitted_at: admitted.admitted_at,
                     was_paused: admitted.pause.is_some(),
                 });
             }

@@ -18,6 +18,7 @@ use tape_oram::{
 };
 use tape_primitives::{rlp, Address, B256, U256};
 use tape_sim::fault::{FaultKind, FaultPlan, FaultSite};
+use tape_sim::telemetry::audit::Ablation;
 use tape_sim::telemetry::{
     CounterId, GaugeId, HistId, PhaseKind, Sink, TaskBuffer, Telemetry, TelemetryEvent,
 };
@@ -55,6 +56,11 @@ pub struct ServiceConfig {
     /// access instead of re-syncing genesis. `None` (the default) keeps
     /// the in-memory backend.
     pub store_dir: Option<std::path::PathBuf>,
+    /// The negative control this device plays: one deliberately
+    /// disabled defence whose §IV-D lens must then fail the audit (see
+    /// [`Ablation`]). Read once at boot. `None` (the default) is the
+    /// production device.
+    pub ablation: Option<Ablation>,
 }
 
 impl Default for ServiceConfig {
@@ -73,6 +79,7 @@ impl Default for ServiceConfig {
             finality_depth: 8,
             undo_capacity: 16,
             store_dir: None,
+            ablation: None,
         }
     }
 }
@@ -507,11 +514,6 @@ pub struct HarDTape {
     recent_heads: Vec<(u64, B256)>,
     /// Per-block world-state pre-images enabling in-place rollback.
     undo: UndoRing,
-    /// Rollback-ablation switch: restores only the local mirror during
-    /// a rollback, skipping the ORAM writes while still advertising
-    /// them — the §IV-D auditor's negative control (the reorg must be
-    /// *observable* as missing sync traffic).
-    rollback_ablation: std::cell::Cell<bool>,
     /// Deterministic adversary schedule, when armed (see [`FaultPlan`]).
     faults: Option<FaultPlan>,
     /// Sessions revoked after an integrity failure: their bundles are
@@ -526,13 +528,6 @@ pub struct HarDTape {
     /// immutable, so one CFG/dataflow pass serves every bundle that
     /// calls the same code.
     analysis_cache: std::collections::HashMap<B256, Arc<CodeAnalysis>>,
-    /// Starvation-ablation side switch: bundles use the legacy dense
-    /// prefetch (no static plans), reproducing the pre-fix pipeline.
-    legacy_prefetch: std::cell::Cell<bool>,
-    /// Checkpoint-cover ablation switch: suspensions capture frames
-    /// in-enclave with no swap traffic while the segment window still
-    /// advertises them — the §IV-D segment lens's negative control.
-    checkpoint_ablation: std::cell::Cell<bool>,
     /// Hardware capacities the admission gate checks stack bounds
     /// against (derived from the HEVM memory configuration).
     limits: Limits,
@@ -648,6 +643,8 @@ impl HarDTape {
                     .sync_full_state(accounts.into_iter())
                     .map_err(ServiceError::Oram)?;
             }
+            // After the genesis sync: an ablation perturbs bundle traffic only.
+            state.set_ablation(config.ablation);
             Some(state)
         } else {
             None
@@ -682,14 +679,11 @@ impl HarDTape {
             head_height: None,
             recent_heads: Vec::new(),
             undo,
-            rollback_ablation: std::cell::Cell::new(false),
             faults: None,
             revoked: std::collections::HashSet::new(),
             telemetry,
             recovery,
             analysis_cache: std::collections::HashMap::new(),
-            legacy_prefetch: std::cell::Cell::new(false),
-            checkpoint_ablation: std::cell::Cell::new(false),
             limits,
         })
     }
@@ -718,53 +712,9 @@ impl HarDTape {
         self.oram.as_ref().map(|o| o.committed_seq())
     }
 
-    /// Switches the code prefetcher to the pre-fix starving driver —
-    /// the leakage auditor's negative control. No-op without an ORAM.
-    pub fn set_prefetch_ablation(&self, on: bool) {
-        // The ablation reproduces the *pre-fix* pipeline end to end:
-        // besides the starving driver, bundles fall back to the legacy
-        // dense prefetch (every code page, no static plans), so the
-        // multi-page drain burst the auditor must catch is exactly what
-        // the old system produced.
-        self.legacy_prefetch.set(on);
-        if let Some(oram) = &self.oram {
-            oram.set_prefetch_ablation(on);
-        }
-    }
-
     /// Prefetcher lifetime stats (None without a code-ORAM prefetcher).
     pub fn prefetch_stats(&self) -> Option<tape_oram::PrefetchStats> {
         self.oram.as_ref().and_then(|o| o.prefetch_stats())
-    }
-
-    /// Switches checkpoint suspensions to in-enclave capture (no cover
-    /// swap traffic, frames still advertised) — the §IV-D segment
-    /// lens's negative control. Only observable when `gas_slice` is
-    /// configured and bundles actually preempt.
-    pub fn set_checkpoint_ablation(&self, on: bool) {
-        self.checkpoint_ablation.set(on);
-    }
-
-    /// Replaces the last advertised page of every static prefetch plan
-    /// with a decoy index while leaving the operational plan intact —
-    /// the plan-coverage auditor's negative control. Execution is
-    /// unchanged; the audit must flag the true page's fetch as
-    /// unplanned. No-op without an ORAM.
-    pub fn set_plan_ablation(&self, on: bool) {
-        if let Some(oram) = &self.oram {
-            oram.set_plan_ablation(on);
-        }
-    }
-
-    /// Replaces the last enumerated storage group of every *state*
-    /// prefetch plan with a decoy id while leaving the operational
-    /// batch intact — the kv plan-coverage auditor's negative control.
-    /// Execution is unchanged; the audit must flag the true group's
-    /// fetch as an unplanned state access. No-op without an ORAM.
-    pub fn set_state_plan_ablation(&self, on: bool) {
-        if let Some(oram) = &self.oram {
-            oram.set_state_plan_ablation(on);
-        }
     }
 
     /// Aggregate value-set-analysis precision over every contract
@@ -1306,7 +1256,7 @@ impl HarDTape {
                     Some(account) => {
                         self.local.put_account(*address, account.clone());
                         if let Some(oram) = &self.oram {
-                            if !self.rollback_ablation.get() {
+                            if self.config.ablation != Some(Ablation::SkipRollbackWrites) {
                                 pages += oram
                                     .sync_account(address, account)
                                     .map_err(ServiceError::Oram)?;
@@ -1316,7 +1266,7 @@ impl HarDTape {
                     None => {
                         self.local.remove_account(address);
                         if let Some(oram) = &self.oram {
-                            if !self.rollback_ablation.get() {
+                            if self.config.ablation != Some(Ablation::SkipRollbackWrites) {
                                 pages += oram
                                     .remove_account(address)
                                     .map_err(ServiceError::Oram)?;
@@ -1335,13 +1285,6 @@ impl HarDTape {
         self.head_height = Some(fork.height);
         self.recent_heads.retain(|&(h, _)| h <= fork.height);
         Ok(popped.iter().map(|d| d.block_hash).collect())
-    }
-
-    /// Switches the rollback to local-mirror-only (ORAM writes skipped
-    /// while still advertised) — the reorg auditor's negative control.
-    /// No-op for configurations without an ORAM.
-    pub fn set_rollback_ablation(&self, on: bool) {
-        self.rollback_ablation.set(on);
     }
 
     /// Pulls the head block from a (possibly adversarial, possibly
@@ -1680,7 +1623,8 @@ impl HarDTape {
         hevm_config.layer3_key = layer3_key;
         hevm_config.layer3_noise_seed = self.rng.next_u64();
         hevm_config.faults = self.faults.clone();
-        hevm_config.checkpoint_cover = !self.checkpoint_ablation.get();
+        hevm_config.checkpoint_cover =
+            self.config.ablation != Some(Ablation::SkipCheckpointCover);
         let progress = Progress {
             hevm_config,
             results: Vec::with_capacity(bundle.transactions.len()),
@@ -1797,9 +1741,12 @@ impl HarDTape {
         }
 
         if security.oram_code() {
-            if self.legacy_prefetch.get() {
-                // Pre-fix pipeline (starvation ablation): dense prefetch
-                // of every code page, no plans advertised.
+            if self.config.ablation == Some(Ablation::StarvePrefetch) {
+                // Pre-fix pipeline end to end (starvation ablation):
+                // besides the page store's starving driver, a dense
+                // prefetch of every code page and no plans advertised,
+                // so the drain burst the auditor must catch is exactly
+                // what the old system produced.
                 use tape_state::StateReader as _;
                 let page_size = self.config.hevm.mem.page_size;
                 for (addr, _) in callees {

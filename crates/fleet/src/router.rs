@@ -126,6 +126,13 @@ pub struct FleetCompletion {
     /// Device that resolved the ticket (for a failover shed, the dead
     /// device the work was lost on).
     pub device: usize,
+    /// Virtual time the resolving device admitted the work (for work
+    /// resolved at failover, the failed device's admission time).
+    pub admitted_at: Nanos,
+    /// Virtual time the completion was produced on that device's clock
+    /// (for work resolved at failover, the failed device's clock at the
+    /// failure).
+    pub completed_at: Nanos,
     /// The signed report, or a typed reason there is none.
     pub outcome: Result<BundleReport, FleetError>,
 }
@@ -540,15 +547,23 @@ impl FleetRouter {
             .unwrap_or_else(|| {
                 unreachable!("completion for unmapped device ticket {}", completion.ticket)
             });
-        match completion.outcome {
+        let outcome = match completion.outcome {
             Ok(report) => {
                 self.stats.completed_ok += 1;
-                FleetCompletion { ticket, session, device, outcome: Ok(report) }
+                Ok(report)
             }
             Err(err) => {
                 self.stats.completed_err += 1;
-                FleetCompletion { ticket, session, device, outcome: Err(FleetError::Gateway(err)) }
+                Err(FleetError::Gateway(err))
             }
+        };
+        FleetCompletion {
+            ticket,
+            session,
+            device,
+            admitted_at: completion.admitted_at,
+            completed_at: completion.completed_at,
+            outcome,
         }
     }
 
@@ -576,6 +591,7 @@ impl FleetRouter {
         self.note_health(device);
 
         let drained = self.gateways[device].drain_for_failover();
+        let failed_at = self.gateways[device].device().clock().now();
 
         // Migrate every tenant homed here, in fleet-session order so
         // survivor-side attestation order is deterministic.
@@ -616,6 +632,8 @@ impl FleetRouter {
                     ticket,
                     session,
                     device,
+                    admitted_at: entry.admitted_at,
+                    completed_at: failed_at,
                     outcome: Err(FleetError::DeviceFailed { device }),
                 });
                 continue;
@@ -641,6 +659,8 @@ impl FleetRouter {
                                 ticket,
                                 session,
                                 device: new_device,
+                                admitted_at: entry.admitted_at,
+                                completed_at: failed_at,
                                 outcome: Err(FleetError::Gateway(err)),
                             });
                         }
@@ -652,6 +672,8 @@ impl FleetRouter {
                         ticket,
                         session,
                         device,
+                        admitted_at: entry.admitted_at,
+                        completed_at: failed_at,
                         outcome: Err(FleetError::NoEligibleDevice),
                     });
                 }

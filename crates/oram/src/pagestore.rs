@@ -19,6 +19,7 @@ use std::sync::Arc;
 use tape_crypto::{Keccak256, SecureRng};
 use tape_primitives::{Address, B256, U256};
 use tape_sim::fault::FaultPlan;
+use tape_sim::telemetry::audit::Ablation;
 use tape_sim::telemetry::{CounterId, GaugeId, HistId, QueryKind, Telemetry, TelemetryEvent};
 use tape_sim::{Clock, CostModel, Nanos};
 use tape_state::{Account, AccountInfo, StateReader};
@@ -145,29 +146,21 @@ struct Inner {
     /// execution — and an unsound one fails safe). Addresses without a
     /// plan fetch every page, the pre-analysis behaviour.
     plans: HashMap<Address, std::collections::BTreeSet<u32>>,
-    /// Advertise plans to telemetry minus their last page (negative
-    /// control: the auditor must flag the resulting unplanned fetch).
-    plan_ablation: bool,
     /// World-state prefetch plans, per contract: which kv records (the
     /// meta page plus enumerated storage groups) the value-set analysis
     /// advertised, and whether the contract also has non-enumerable
     /// (dynamic) accesses. Merged across calls; used to keep repeated
     /// plans from re-advertising records.
     kv_plans: HashMap<Address, KvPlan>,
-    /// Advertise state plans with the last enumerated storage group
-    /// replaced by a decoy id (negative control: the operational batch
-    /// still fetches the true group, which the auditor must flag).
-    state_plan_ablation: bool,
     /// Pages pinned on-chip by state plans: batch-fetched once at plan
     /// time and retained across [`ObliviousState::clear_cache`], so
     /// per-segment cache clears never re-trigger their wire traffic.
     pinned: std::collections::HashSet<PageKey>,
     /// The §IV-D code prefetcher, when enabled (`-full` only).
     prefetcher: Option<CodePrefetcher>,
-    /// Drives the prefetcher with the legacy unconditionally-re-arming
-    /// `on_query` (the starvation bug) and skips demand-fetch pacing —
-    /// the leakage auditor's negative control.
-    starve_ablation: bool,
+    /// The negative control this store plays, if any: a starved
+    /// prefetcher driver, or a decoy in advertised code/state plans.
+    ablation: Option<Ablation>,
     /// Checkpoint every ORAM access into the server's durable backend:
     /// seal the client into the commit's meta slot so a cold restart
     /// resumes bit-for-bit at the last committed access.
@@ -223,12 +216,10 @@ impl ObliviousState {
                 stats: QueryStats::default(),
                 page_size,
                 plans: HashMap::new(),
-                plan_ablation: false,
                 kv_plans: HashMap::new(),
-                state_plan_ablation: false,
                 pinned: std::collections::HashSet::new(),
                 prefetcher: None,
-                starve_ablation: false,
+                ablation: None,
                 durable: false,
                 telemetry: None,
                 last_wire_at: None,
@@ -244,10 +235,16 @@ impl ObliviousState {
         self.inner.borrow_mut().prefetcher = Some(CodePrefetcher::new(rng, initial_gap_ns));
     }
 
-    /// Switches the prefetcher driver to the pre-fix starving behaviour
-    /// (ablation for the leakage auditor's negative control).
-    pub fn set_prefetch_ablation(&self, on: bool) {
-        self.inner.borrow_mut().starve_ablation = on;
+    /// Sets the negative control this store plays (see [`Ablation`]):
+    /// [`StarvePrefetch`](Ablation::StarvePrefetch) drives the
+    /// prefetcher with the pre-fix re-arming deadline and no demand
+    /// pacing; [`OmitCodePlan`](Ablation::OmitCodePlan) and
+    /// [`DecoyStatePlan`](Ablation::DecoyStatePlan) mis-advertise plans
+    /// (see [`set_code_plan`](Self::set_code_plan) and
+    /// [`set_state_plan`](Self::set_state_plan)). Other ablations act
+    /// above the store and leave it untouched.
+    pub fn set_ablation(&self, ablation: Option<Ablation>) {
+        self.inner.borrow_mut().ablation = ablation;
     }
 
     /// Attaches a telemetry sink; every wire query, prefetch drain, and
@@ -316,7 +313,7 @@ impl ObliviousState {
             // (Dropping the page outright would make single-page
             // contracts *unplanned*, which the auditor rightly exempts.)
             let mut advertised: Vec<u32> = plan.iter().copied().collect();
-            if inner.plan_ablation {
+            if inner.ablation == Some(Ablation::OmitCodePlan) {
                 if let Some(last) = advertised.last_mut() {
                     *last = last.wrapping_add(0x4000_0000);
                 }
@@ -332,12 +329,6 @@ impl ObliviousState {
             }
         }
         inner.plans.insert(address, plan);
-    }
-
-    /// Turns the plan-advertisement ablation on or off (the auditor's
-    /// plan-vs-observed negative control).
-    pub fn set_plan_ablation(&self, on: bool) {
-        self.inner.borrow_mut().plan_ablation = on;
     }
 
     /// Installs the value-set analyzer's world-state prefetch plan for
@@ -387,7 +378,7 @@ impl ObliviousState {
             // negative control. Meta-only plans have no group to decoy
             // and stay intact.
             let mut advertised = fresh_groups.clone();
-            if inner.state_plan_ablation {
+            if inner.ablation == Some(Ablation::DecoyStatePlan) {
                 if let Some(last) = advertised.last_mut() {
                     *last = last.wrapping_add(U256::from(0x4000_0000u64));
                 }
@@ -427,13 +418,6 @@ impl ObliviousState {
             inner.pinned.insert(key);
             let _ = inner.fetch_page(key);
         }
-    }
-
-    /// Turns the state-plan advertisement ablation on or off (the
-    /// auditor's kv plan-vs-observed negative control); see
-    /// [`set_state_plan`](Self::set_state_plan).
-    pub fn set_state_plan_ablation(&self, on: bool) {
-        self.inner.borrow_mut().state_plan_ablation = on;
     }
 
     /// The prefetcher's lifetime stats, when one is enabled.
@@ -777,7 +761,7 @@ impl Inner {
     fn drive_prefetch(&mut self, now: Nanos) {
         let due = match self.prefetcher.as_mut() {
             Some(pf) => {
-                if self.starve_ablation {
+                if self.ablation == Some(Ablation::StarvePrefetch) {
                     pf.on_query_rearming(now);
                 } else {
                     pf.on_query(now);
@@ -824,7 +808,7 @@ impl Inner {
     /// `true` when demand code fetches must be paced onto the prefetch
     /// cadence (prefetcher enabled, ablation off).
     fn pacing_active(&self) -> bool {
-        self.prefetcher.is_some() && !self.starve_ablation
+        self.prefetcher.is_some() && self.ablation != Some(Ablation::StarvePrefetch)
     }
 
     /// A demand code fetch disguised as a timer prefetch: stall for the
@@ -1066,7 +1050,7 @@ mod tests {
         let t = Telemetry::new();
         state.set_telemetry(t.clone());
         state.enable_prefetch(SecureRng::from_seed(b"pf"), 2_300_000);
-        state.set_prefetch_ablation(true);
+        state.set_ablation(Some(Ablation::StarvePrefetch));
         state.schedule_prefetch(addr, 3);
 
         state.account(&addr);
@@ -1191,7 +1175,7 @@ mod tests {
         let t = Telemetry::new();
         state.set_telemetry(t.clone());
 
-        state.set_state_plan_ablation(true);
+        state.set_ablation(Some(Ablation::DecoyStatePlan));
         state.set_state_plan(addr, &[U256::from(3u64), U256::from(40u64)], false);
         // The operational batch fetched the *true* records...
         assert_eq!(state.stats().kv_queries, 3);

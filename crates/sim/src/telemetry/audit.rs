@@ -410,6 +410,70 @@ impl core::fmt::Display for Violation {
     }
 }
 
+/// A deliberately disabled defence: the negative control a lens must
+/// catch. A device boots with at most one (`ServiceConfig::ablation`);
+/// its audit must then fail with the violation [`caught_by`] names —
+/// a lens that stays green under its ablation is not evidence.
+///
+/// [`caught_by`]: Ablation::caught_by
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ablation {
+    /// Drives the code prefetcher with the pre-fix re-arming deadline
+    /// and dense page counts: starved pages surface as a drain burst.
+    StarvePrefetch,
+    /// Advertises every code plan with its last page swapped for a
+    /// decoy index; the true page's fetch is unplanned.
+    OmitCodePlan,
+    /// Advertises every state plan with its last storage group swapped
+    /// for a decoy id; the true group's fetch is unplanned.
+    DecoyStatePlan,
+    /// Captures preemption checkpoints in-enclave with no cover swap
+    /// traffic while the segment window still advertises the frames.
+    SkipCheckpointCover,
+    /// Restores only the local mirror on rollback, skipping the ORAM
+    /// writes the rollback window advertises.
+    SkipRollbackWrites,
+}
+
+impl Ablation {
+    /// Every ablation, in declaration order.
+    pub const ALL: [Ablation; 5] = [
+        Ablation::StarvePrefetch,
+        Ablation::OmitCodePlan,
+        Ablation::DecoyStatePlan,
+        Ablation::SkipCheckpointCover,
+        Ablation::SkipRollbackWrites,
+    ];
+
+    /// The stable command-line name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Ablation::StarvePrefetch => "starve-prefetch",
+            Ablation::OmitCodePlan => "omit-code-plan",
+            Ablation::DecoyStatePlan => "decoy-state-plan",
+            Ablation::SkipCheckpointCover => "skip-checkpoint-cover",
+            Ablation::SkipRollbackWrites => "skip-rollback-writes",
+        }
+    }
+
+    /// Parses a [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<Ablation> {
+        Ablation::ALL.into_iter().find(|a| a.name() == name)
+    }
+
+    /// Whether `violation` is the one this ablation's lens must report.
+    pub fn caught_by(self, violation: &Violation) -> bool {
+        matches!(
+            (self, violation),
+            (Ablation::StarvePrefetch, Violation::CodeBurst { .. })
+                | (Ablation::OmitCodePlan, Violation::UnplannedCodePage { .. })
+                | (Ablation::DecoyStatePlan, Violation::UnplannedStateAccess { .. })
+                | (Ablation::SkipCheckpointCover, Violation::CheckpointUncovered { .. })
+                | (Ablation::SkipRollbackWrites, Violation::RollbackUncovered { .. })
+        )
+    }
+}
+
 /// Summary statistics gathered during the audit (for reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AuditStats {
@@ -1373,5 +1437,24 @@ mod tests {
         assert!(format!("{v}").contains("9 tight code queries"));
         let v = Violation::GapMeanRatio { ratio_x100: 1030, band: (25, 400) };
         assert!(format!("{v}").contains("10.30"));
+    }
+
+    #[test]
+    fn ablations_round_trip_and_each_is_caught_by_its_own_violation() {
+        let caught = [
+            Violation::CodeBurst { at: 1, len: 9, limit: 4 },
+            Violation::UnplannedCodePage { at: 1, address: [0; 20], page: 3 },
+            Violation::UnplannedStateAccess { at: 1, address: [0; 20], meta: false, group: [0; 32] },
+            Violation::CheckpointUncovered { at: 1, expected: 2, observed: 0 },
+            Violation::RollbackUncovered { at: 1, expected: 2, observed: 0 },
+        ];
+        for (i, ablation) in Ablation::ALL.into_iter().enumerate() {
+            assert_eq!(Ablation::from_name(ablation.name()), Some(ablation));
+            for (j, violation) in caught.iter().enumerate() {
+                assert_eq!(ablation.caught_by(violation), i == j, "{ablation:?} vs {violation}");
+            }
+            assert!(!ablation.caught_by(&Violation::Truncated { dropped: 1 }));
+        }
+        assert_eq!(Ablation::from_name("starve"), None);
     }
 }

@@ -68,10 +68,13 @@
 # bundles/sec per worker count and asserts the cross-worker digest
 # contract in-process; the >= 2x-at-4-workers bound is enforced only
 # on hosts with at least 4 cores. Three negative controls prove the
-# auditor has teeth: --starve (prefetcher starvation, pre-fix pipeline),
-# --omit-plan (a prefetch plan mis-advertising one page), and
-# --omit-state-plan (a world-state plan mis-advertising one storage
-# group) must each *fail* the audit. The fleet benchmark (BENCH_fleet.json) runs under
+# auditor has teeth: `--ablate NAME` for every ablation the benchmark
+# workload reaches — starve-prefetch (prefetcher starvation, pre-fix
+# pipeline), omit-code-plan (a code plan mis-advertising one page) and
+# decoy-state-plan (a world-state plan mis-advertising one storage
+# group) — must each fail the audit with the violation its
+# `Ablation::caught_by` names and print the binary's detection line.
+# The fleet benchmark (BENCH_fleet.json) runs under
 # the same discipline: latency vs device count, shard fairness,
 # staleness, and the kill-one-device degradation curve, with the
 # one-device-loss honest p99 bounded in-process (3x no-loss) and
@@ -320,15 +323,16 @@ if [[ "$RUN_BENCH" -eq 1 ]]; then
     fi
     cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
         --out BENCH_pre_execute.json "${BASELINE_ARGS[@]}"
-    echo "==> starvation ablation (the auditor must detect the leak)"
-    cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
-        --starve --out target/BENCH_pre_execute.starve.json
-    echo "==> plan-omission ablation (the auditor must detect the leak)"
-    cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
-        --omit-plan --out target/BENCH_pre_execute.omit_plan.json
-    echo "==> state-plan-omission ablation (the auditor must detect the leak)"
-    cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
-        --omit-state-plan --out target/BENCH_pre_execute.omit_state_plan.json
+    for ablation in starve-prefetch omit-code-plan decoy-state-plan; do
+        echo "==> $ablation ablation (the auditor must report its violation)"
+        out="$(cargo run -q --release -p tape-bench --bin bench_pre_execute -- \
+            --ablate "$ablation" --out "target/BENCH_pre_execute.$ablation.json")"
+        echo "$out"
+        if ! grep -q '^OK: auditor detected the injected leak' <<<"$out"; then
+            echo "bench: $ablation ablation printed no detection line" >&2
+            exit 1
+        fi
+    done
     echo "==> fleet benchmark (scaling + degradation curve + regression guard)"
     FLEET_BASELINE_ARGS=()
     if git ls-files --error-unmatch BENCH_fleet.json >/dev/null 2>&1; then

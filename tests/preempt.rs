@@ -9,15 +9,13 @@
 //! latency, hint, and digest below is exact — no flake margins needed.
 
 use hardtape::{
-    Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, PreExecOutcome, SecurityConfig,
-    ServiceConfig, ServiceError,
+    Bundle, Completion, Gateway, GatewayConfig, GatewayError, HarDTape, PreExecOutcome,
+    SecurityConfig, ServiceConfig, ServiceError,
 };
-use std::collections::HashMap;
 use tape_evm::{Env, Transaction};
 use tape_hevm::HevmAbort;
 use tape_primitives::{Address, U256};
-use tape_sim::queue::EventLog;
-use tape_sim::telemetry::audit::{audit_events, AuditConfig, Violation};
+use tape_sim::telemetry::audit::{audit_events, Ablation, AuditConfig};
 use tape_state::{Account, InMemoryState};
 use tape_workload::contracts;
 
@@ -86,46 +84,14 @@ fn device(gas_slice: Option<u64>) -> HarDTape {
         .expect("device boots")
 }
 
-/// Admit→complete virtual latencies for `sessions`, parsed from the
-/// gateway's deterministic event log ("t=<ns> admit/complete
-/// session=<s> ticket=<k> ..." lines).
-fn latencies(log: &EventLog, sessions: &[u64]) -> Vec<u64> {
-    let mut admits: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
-    for line in log.lines() {
-        let mut parts = line.split_whitespace();
-        let Some(t) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("t="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let Some(verb) = parts.next() else { continue };
-        let Some(session) = parts
-            .next()
-            .and_then(|p| p.strip_prefix("session="))
-            .and_then(|v| v.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let ticket = parts
-            .next()
-            .and_then(|p| p.strip_prefix("ticket="))
-            .and_then(|v| v.parse::<u64>().ok());
-        match (verb, ticket) {
-            ("admit", Some(k)) => {
-                admits.insert(k, t);
-            }
-            ("complete", Some(k)) if sessions.contains(&session) => {
-                if let Some(&at) = admits.get(&k) {
-                    out.push(t - at);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+/// Admit→complete virtual latencies of the served bundles of
+/// `sessions`.
+fn latencies(completions: &[Completion], sessions: &[u64]) -> Vec<u64> {
+    completions
+        .iter()
+        .filter(|c| c.outcome.is_ok() && sessions.contains(&c.session))
+        .map(|c| c.completed_at - c.admitted_at)
+        .collect()
 }
 
 fn p99(mut samples: Vec<u64>) -> u64 {
@@ -161,6 +127,7 @@ fn tail_latency_run(bombs: bool, gas_slice: Option<u64>) -> Vec<u64> {
         })
         .collect();
 
+    let mut completions = Vec::new();
     for step in 0..10usize {
         if bombs {
             // Keep the bomber's queue non-empty (a round retires at most
@@ -176,13 +143,13 @@ fn tail_latency_run(bombs: bool, gas_slice: Option<u64>) -> Vec<u64> {
                 .submit(session, transfer_bundle(i, step))
                 .expect("honest short bundle admitted");
         }
-        gateway.run_round();
+        completions.extend(gateway.run_round());
     }
-    gateway.run_until_idle();
+    completions.extend(gateway.run_until_idle());
     if bombs && gas_slice.is_some() {
         assert!(gateway.stats().preempted > 0, "bombs never preempted under slicing");
     }
-    latencies(gateway.log(), &honest)
+    latencies(&completions, &honest)
 }
 
 #[test]
@@ -347,8 +314,9 @@ fn checkpoint_cover_ablation_fails_the_segment_audit() {
     // Negative control (the ISSUE's ablation): same run with checkpoint
     // cover skipped — frames are captured silently in-enclave, and the
     // audit must flag every advertised-but-uncovered checkpoint.
-    let mut ablated = device(Some(GAS_SLICE));
-    ablated.set_checkpoint_ablation(true);
+    let mut config = service_config(Some(GAS_SLICE));
+    config.ablation = Some(Ablation::SkipCheckpointCover);
+    let mut ablated = HarDTape::new(config, Env::default(), &genesis()).expect("device boots");
     let mut user = ablated.connect_user(b"ablation user").expect("attestation succeeds");
     ablated
         .pre_execute(&mut user, &Bundle::single(bomb_tx(1_000_000)))
@@ -361,7 +329,7 @@ fn checkpoint_cover_ablation_fails_the_segment_audit() {
         report
             .violations
             .iter()
-            .any(|v| matches!(v, Violation::CheckpointUncovered { .. })),
+            .any(|v| Ablation::SkipCheckpointCover.caught_by(v)),
         "expected CheckpointUncovered, got {:?}",
         report.violations
     );
