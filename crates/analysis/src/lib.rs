@@ -51,6 +51,7 @@ pub mod vsa;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use tape_evm::precompile::is_unimplemented;
 use tape_primitives::Address;
 
 pub use cfg::{Block, BlockExit, Cfg, Instr};
@@ -316,6 +317,9 @@ impl Limits {
     /// Checks the analysis against the capacities. `Err` carries the
     /// typed admission rejection.
     pub fn admit(&self, analysis: &CodeAnalysis) -> Result<(), AnalysisReject> {
+        if let Some(&address) = analysis.call_targets.iter().find(|a| is_unimplemented(a)) {
+            return Err(AnalysisReject::UnimplementedPrecompile { address });
+        }
         let limit_words = self.stack_bytes / 32;
         if analysis.unbounded_stack {
             return Err(AnalysisReject::UnboundedStack { cap_words: limit_words });
@@ -368,6 +372,13 @@ pub enum AnalysisReject {
         /// Frames the admission policy requires.
         required: usize,
     },
+    /// A reachable constant call — or the transaction itself — targets
+    /// a precompile this interpreter does not implement (0x3, 0x5–0x9);
+    /// running it as an empty account would give a wrong answer.
+    UnimplementedPrecompile {
+        /// The precompile address.
+        address: Address,
+    },
 }
 
 impl fmt::Display for AnalysisReject {
@@ -385,6 +396,9 @@ impl fmt::Display for AnalysisReject {
                 "frame footprint {frame_bytes} B fits only {frames_fit} frames in the layer-2 \
                  ring ({required} required)"
             ),
+            AnalysisReject::UnimplementedPrecompile { address } => {
+                write!(f, "calls unimplemented precompile {address}")
+            }
         }
     }
 }
@@ -634,6 +648,30 @@ mod tests {
         let a = analyze(&tape_workload::contracts::hopper_runtime());
         assert!(a.dynamic_calls);
         assert!(a.call_targets.is_empty());
+    }
+
+    /// `CALL(gas, callee, 0, 0, 0, 0, 0); STOP` with a constant callee.
+    fn constant_call(callee: u64) -> Vec<u8> {
+        let mut asm = Asm::new();
+        for _ in 0..5 {
+            asm = asm.push(0u64);
+        }
+        asm.push(callee).op(op::GAS).op(op::CALL).stop().build()
+    }
+
+    #[test]
+    fn constant_call_to_unimplemented_precompile_is_rejected() {
+        for n in [3u64, 5, 9] {
+            let a = analyze(&constant_call(n));
+            assert_eq!(
+                Limits::default().admit(&a),
+                Err(AnalysisReject::UnimplementedPrecompile { address: Address::from_low_u64(n) })
+            );
+        }
+        // The implemented ones (and ordinary accounts) still admit.
+        for n in [1u64, 2, 4, 0x1000] {
+            assert!(Limits::default().admit(&analyze(&constant_call(n))).is_ok(), "{n:#x}");
+        }
     }
 
     #[test]

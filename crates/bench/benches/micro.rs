@@ -10,7 +10,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use tape_crypto::{keccak256, AesGcm, SecretKey, SecureRng};
+use tape_crypto::{keccak256, Aes128, AesGcm, SecretKey, SecureRng};
 use tape_evm::{Env, Evm, Transaction};
 use tape_hevm::{Hevm, HevmConfig};
 use tape_mpt::MerkleTrie;
@@ -39,10 +39,24 @@ fn bench_crypto() {
     let data_1k = vec![0xABu8; 1024];
     bench("crypto/keccak256_1KiB", 2_000, || keccak256(black_box(&data_1k)));
 
+    let aes = Aes128::new(&[7u8; 16]);
+    let mut block = [0u8; 16];
+    bench("crypto/aes128_block", 1_000_000, || {
+        aes.encrypt_block(black_box(&mut block));
+        block
+    });
+
     let gcm = AesGcm::new(&[7u8; 16]);
-    bench("crypto/aes_gcm_seal_1KiB", 2_000, || {
+    bench("crypto/aes_gcm_seal_1KiB", 20_000, || {
         gcm.seal(black_box(&[0u8; 12]), b"", black_box(&data_1k))
     });
+    let sealed_1k = gcm.seal(&[0u8; 12], b"", &data_1k);
+    bench("crypto/aes_gcm_open_1KiB", 20_000, || {
+        gcm.open(black_box(&[0u8; 12]), b"", black_box(&sealed_1k))
+    });
+    // Key setup (round keys + GHASH table): paid on every HEVM segment,
+    // which builds a fresh layer-3 pager.
+    bench("crypto/aes_gcm_new", 200_000, || AesGcm::new(black_box(&[7u8; 16])));
 
     let sk = SecretKey::from_seed(b"bench");
     let digest = keccak256(b"message");

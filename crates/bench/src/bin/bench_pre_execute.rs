@@ -20,13 +20,14 @@
 //!   and (when present) the preemption section's `short_p99`, the kv
 //!   `kv_queries_per_bundle`, the analysis section's
 //!   `resolved_jump_ratio_x100`, and the disk section's
-//!   `disk_ns_per_query` / `disk_queries_per_bundle` from a previously
-//!   committed report and fails (exit 1) when the fresh run regresses
-//!   by more than 10% on any — an accidental extra ORAM round-trip per
-//!   bundle, a scheduling change that re-inflates the honest tail under
-//!   gas-bomb load, a lattice change that silently degrades jump
-//!   resolution, or a durability change that inflates the disk-backed
-//!   store's per-query cost cannot land silently. The baseline is read
+//!   `disk_ns_per_query` / `mem_ns_per_query` / `disk_queries_per_bundle`
+//!   from a previously committed report and fails (exit 1) when the
+//!   fresh run regresses by more than 10% on any — an accidental extra
+//!   ORAM round-trip per bundle, a scheduling change that re-inflates
+//!   the honest tail under gas-bomb load, a lattice change that silently
+//!   degrades jump resolution, a durability change that inflates the
+//!   disk-backed store's per-query cost, or a slower AES-GCM kernel
+//!   under the in-memory store cannot land silently. The baseline is read
 //!   before the output is written, so `--baseline` and `--out` may name
 //!   the same file.
 //!
@@ -402,6 +403,9 @@ struct Baseline {
     resolved_jump_ratio_x100: Option<f64>,
     /// Disk-backed store: median host wall-clock per ORAM query.
     disk_ns_per_query: Option<f64>,
+    /// In-memory store, same workload: median host wall-clock per ORAM
+    /// query (almost all AES-GCM).
+    mem_ns_per_query: Option<f64>,
     /// Disk-backed store: ORAM queries per bundle.
     disk_queries_per_bundle: Option<f64>,
 }
@@ -426,6 +430,7 @@ fn read_baseline(path: &str) -> Baseline {
         kv_queries_per_bundle: baseline_field(&text, "kv_queries_per_bundle"),
         resolved_jump_ratio_x100: baseline_field(&text, "resolved_jump_ratio_x100"),
         disk_ns_per_query: baseline_field(&text, "disk_ns_per_query"),
+        mem_ns_per_query: baseline_field(&text, "mem_ns_per_query"),
         disk_queries_per_bundle: baseline_field(&text, "disk_queries_per_bundle"),
     }
 }
@@ -602,7 +607,7 @@ fn main() {
     // The queries/bundle acceptance bound is enforced in-process; the
     // per-query cost is guarded against the committed baseline below.
     let mut disk_json = String::from("\"measured\": false");
-    let mut disk_guard: Option<(f64, f64)> = None;
+    let mut disk_guard: Option<(f64, f64, f64)> = None;
     if !ablated {
         println!("  disk axis: {DISK_BUNDLES} bundles on a disk-backed bucket store");
         let scratch = Scratch::new("bench-disk", 0x07A9);
@@ -656,7 +661,7 @@ fn main() {
              \"disk_ns_per_query\": {disk_ns_per_query:.0}, \
              \"disk_queries_per_bundle\": {disk_queries_per_bundle:.2}"
         );
-        disk_guard = Some((disk_ns_per_query, disk_queries_per_bundle));
+        disk_guard = Some((disk_ns_per_query, disk_queries_per_bundle, mem_ns_per_query));
     }
 
     let mut sorted = first.latencies.clone();
@@ -887,11 +892,12 @@ fn main() {
             }
             _ => {}
         }
-        // Disk-axis guards: a >10% growth of either the per-query
-        // wall-clock cost or the ORAM traffic on the disk-backed store
-        // fails the run. Absent fields (pre-disk baseline) skip
-        // silently.
-        if let (Some(base_nspq), Some((fresh_nspq, _))) = (baseline.disk_ns_per_query, disk_guard)
+        // Disk-axis guards: a >10% growth of the per-query wall-clock
+        // cost on either store, or of the ORAM traffic on the
+        // disk-backed one, fails the run. Absent fields (pre-disk
+        // baseline) skip silently.
+        if let (Some(base_nspq), Some((fresh_nspq, _, _))) =
+            (baseline.disk_ns_per_query, disk_guard)
         {
             let limit = base_nspq * 1.10;
             println!(
@@ -906,7 +912,22 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        if let (Some(base_dqpb), Some((_, fresh_dqpb))) =
+        if let (Some(base_nspq), Some((_, _, fresh_nspq))) = (baseline.mem_ns_per_query, disk_guard)
+        {
+            let limit = base_nspq * 1.10;
+            println!(
+                "  baseline in-memory ns/query: {base_nspq:.0} (limit {limit:.0}, \
+                 measured {fresh_nspq:.0})"
+            );
+            if fresh_nspq > limit {
+                eprintln!(
+                    "FAIL: in-memory ns/query regressed >10%: {fresh_nspq:.0} vs \
+                     baseline {base_nspq:.0}"
+                );
+                std::process::exit(1);
+            }
+        }
+        if let (Some(base_dqpb), Some((_, fresh_dqpb, _))) =
             (baseline.disk_queries_per_bundle, disk_guard)
         {
             let limit = base_dqpb * 1.10;

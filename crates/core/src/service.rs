@@ -369,7 +369,8 @@ pub enum ServiceError {
     AllCoresQuarantined,
     /// The static analyzer refused the bundle at admission: the callee's
     /// sound stack bound cannot fit the Layer-1/Layer-2 capacities, so
-    /// execution would fault mid-bundle on a hardware limit.
+    /// execution would fault mid-bundle on a hardware limit, or the
+    /// bundle reaches an unimplemented precompile.
     AnalysisReject {
         /// The callee contract that failed admission.
         address: Address,
@@ -757,9 +758,11 @@ impl HarDTape {
     }
 
     /// The static admission gate: every top-level callee's sound stack
-    /// bound must fit the Layer-1/Layer-2 capacities, or the bundle is
-    /// refused here with a typed verdict instead of faulting mid-bundle
-    /// on a hardware limit.
+    /// bound must fit the Layer-1/Layer-2 capacities, and neither it nor
+    /// any constant callee it reaches may be an unimplemented
+    /// precompile, or the bundle is refused here with a typed verdict
+    /// instead of faulting mid-bundle on a hardware limit or returning a
+    /// wrong answer.
     ///
     /// # Errors
     ///
@@ -771,6 +774,13 @@ impl HarDTape {
             let Some(to) = tx.to else { continue };
             if !seen.insert(to) {
                 continue;
+            }
+            if tape_evm::precompile::is_unimplemented(&to) {
+                self.telemetry.count(CounterId::AnalysisRejects, 1);
+                return Err(ServiceError::AnalysisReject {
+                    address: to,
+                    reason: AnalysisReject::UnimplementedPrecompile { address: to },
+                });
             }
             if let Some(analysis) = self.analyze_code(&to) {
                 if let Err(reason) = self.limits.admit(&analysis) {

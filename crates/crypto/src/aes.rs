@@ -4,8 +4,20 @@
 //! user messages over the secure channel, layer-3 swapped pages, and ORAM
 //! *block* re-encryption. Only the encryption direction of the block
 //! cipher is needed (GCM uses CTR mode both ways).
+//!
+//! The kernel is table-driven, in safe Rust: AES runs over four `u32`
+//! column words with four 1 KiB T-tables (SubBytes, ShiftRows and
+//! MixColumns fused into one lookup per byte), and GHASH uses Shoup's
+//! 8-bit method — a per-key 256-entry `n·H` table plus one constant
+//! reduction table, so a 16-byte block costs 16 lookups instead of 128
+//! shift-xors. The tables are indexed by secret bytes, as any software
+//! S-box is; they model the paper's hardware AES engine on the host, and
+//! host cache timing is outside the threat model (DESIGN.md).
 
 use core::fmt;
+
+#[cfg(test)]
+mod oracle;
 
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -28,15 +40,43 @@ const SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-#[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+}
+
+/// `TE0[x]` is the MixColumns image of the column `(S[x], 0, 0, 0)`:
+/// the big-endian word `2·S[x] ‖ S[x] ‖ S[x] ‖ 3·S[x]`. The other three
+/// tables are its byte rotations, one per input row.
+const fn t_table(rotation: u32) -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let word = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        t[x] = word.rotate_right(rotation);
+        x += 1;
+    }
+    t
+}
+
+const TE0: [u32; 256] = t_table(0);
+const TE1: [u32; 256] = t_table(8);
+const TE2: [u32; 256] = t_table(16);
+const TE3: [u32; 256] = t_table(24);
+
+/// Row `r` byte of a big-endian column word, as a table index. The
+/// `as u8` bounds the index below 256, so the lookups carry no bounds
+/// checks.
+#[inline(always)]
+fn row(word: u32, r: u32) -> usize {
+    (word >> (24 - 8 * r)) as u8 as usize
 }
 
 /// AES-128 block cipher (encryption direction only).
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    /// The 44 expanded key words, big-endian, four per round.
+    round_keys: [u32; 44],
 }
 
 impl fmt::Debug for Aes128 {
@@ -48,85 +88,60 @@ impl fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands a 128-bit key.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
+        let mut w = [0u32; 44];
+        for (i, word) in key.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
         }
         for i in 4..44 {
             let mut t = w[i - 1];
             if i % 4 == 0 {
-                t.rotate_left(1);
-                for b in &mut t {
-                    *b = SBOX[*b as usize];
-                }
-                t[0] ^= RCON[i / 4 - 1];
+                let sub = t.rotate_left(8).to_be_bytes().map(|b| SBOX[b as usize]);
+                t = u32::from_be_bytes(sub) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ t[j];
-            }
+            w[i] = w[i - 4] ^ t;
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Aes128 { round_keys }
+        Aes128 { round_keys: w }
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
+        let mut cols = [0u32; 4];
+        for (c, word) in cols.iter_mut().zip(block.chunks_exact(4)) {
+            *c = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        }
+        let out = self.encrypt_words(cols);
+        for (word, c) in block.chunks_exact_mut(4).zip(out) {
+            word.copy_from_slice(&c.to_be_bytes());
+        }
+    }
+
+    /// Encrypts one block held as four big-endian column words.
+    #[inline]
+    fn encrypt_words(&self, block: [u32; 4]) -> [u32; 4] {
+        let rk = &self.round_keys;
+        let mut s = [block[0] ^ rk[0], block[1] ^ rk[1], block[2] ^ rk[2], block[3] ^ rk[3]];
         for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+            // Output column c takes row r from column c + r (ShiftRows),
+            // then MixColumns through the row-r table.
+            let col = |c: usize| {
+                TE0[row(s[c], 0)]
+                    ^ TE1[row(s[(c + 1) % 4], 1)]
+                    ^ TE2[row(s[(c + 2) % 4], 2)]
+                    ^ TE3[row(s[(c + 3) % 4], 3)]
+                    ^ rk[round * 4 + c]
+            };
+            s = [col(0), col(1), col(2), col(3)];
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
-    }
-}
-
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State is column-major: byte (row, col) lives at `col*4 + row`.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    for row in 1..4 {
-        let mut tmp = [0u8; 4];
-        for col in 0..4 {
-            tmp[col] = state[((col + row) % 4) * 4 + row];
-        }
-        for col in 0..4 {
-            state[col * 4 + row] = tmp[col];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let c = &mut state[col * 4..col * 4 + 4];
-        let a = [c[0], c[1], c[2], c[3]];
-        let t = a[0] ^ a[1] ^ a[2] ^ a[3];
-        c[0] = a[0] ^ t ^ xtime(a[0] ^ a[1]);
-        c[1] = a[1] ^ t ^ xtime(a[1] ^ a[2]);
-        c[2] = a[2] ^ t ^ xtime(a[2] ^ a[3]);
-        c[3] = a[3] ^ t ^ xtime(a[3] ^ a[0]);
+        // Final round: SubBytes and ShiftRows only.
+        let last = |c: usize| {
+            u32::from_be_bytes([
+                SBOX[row(s[c], 0)],
+                SBOX[row(s[(c + 1) % 4], 1)],
+                SBOX[row(s[(c + 2) % 4], 2)],
+                SBOX[row(s[(c + 3) % 4], 3)],
+            ]) ^ rk[40 + c]
+        };
+        [last(0), last(1), last(2), last(3)]
     }
 }
 
@@ -146,37 +161,106 @@ impl fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
-/// Multiplies two elements of GF(2^128) with the GCM bit order.
-fn ghash_mul(x: u128, y: u128) -> u128 {
-    const R: u128 = 0xe1 << 120;
-    let mut z = 0u128;
-    let mut v = y;
-    for i in 0..128 {
-        if (x >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
-    }
-    z
+/// The GCM reduction polynomial `1 + x + x^2 + x^7` in GCM bit order
+/// (bit 127 is the coefficient of `x^0`).
+const R: u128 = 0xe1 << 120;
+
+/// Multiplies by `x`: one right shift, reduced.
+const fn mul_x(v: u128) -> u128 {
+    (v >> 1) ^ if v & 1 == 1 { R } else { 0 }
 }
 
-fn ghash(h: u128, aad: &[u8], ciphertext: &[u8]) -> u128 {
-    let mut y = 0u128;
-    let mut absorb = |data: &[u8]| {
-        for chunk in data.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            y = ghash_mul(y ^ u128::from_be_bytes(block), h);
+/// `REDUCE[b]`, shifted to the top 16 bits, is what the low byte `b`
+/// contributes when a field element is multiplied by `x^8` (shifted
+/// right by 8): bit `j` of `b` wraps to `x^(7-j) · x^128`.
+const REDUCE: [u16; 256] = {
+    let mut t = [0u16; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut r = 0u16;
+        let mut j = 0;
+        while j < 8 {
+            if (b >> j) & 1 == 1 {
+                r ^= 0xe100 >> (7 - j);
+            }
+            j += 1;
         }
-    };
-    absorb(aad);
-    absorb(ciphertext);
-    let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
-    ghash_mul(y ^ lengths, h)
+        t[b] = r;
+        b += 1;
+    }
+    t
+};
+
+/// Shoup's 8-bit GHASH key table: `table[n] = n·H`, where the byte `n`
+/// is read as the first 8 coefficients (`n << 120` in GCM bit order).
+#[derive(Clone)]
+struct GhashKey {
+    table: Box<[u128; 256]>,
+}
+
+impl GhashKey {
+    /// Builds the table by doubling and XOR: 7 multiplies by `x` for the
+    /// single-bit entries, then one XOR per remaining entry.
+    fn new(h: u128) -> Self {
+        let mut table = Box::new([0u128; 256]);
+        table[0x80] = h;
+        let mut bit = 0x40;
+        while bit > 0 {
+            table[bit] = mul_x(table[bit << 1]);
+            bit >>= 1;
+        }
+        let mut high = 2;
+        while high < 256 {
+            for low in 1..high {
+                table[high | low] = table[high] ^ table[low];
+            }
+            high <<= 1;
+        }
+        GhashKey { table }
+    }
+
+    /// `x · H`, Horner over the 16 bytes of `x` from the last (highest
+    /// coefficients) to the first.
+    #[inline]
+    fn mul(&self, x: u128) -> u128 {
+        let t = &self.table;
+        let mut z = t[x as u8 as usize];
+        for i in 1..16 {
+            let carry = REDUCE[z as u8 as usize];
+            z = (z >> 8) ^ (u128::from(carry) << 112) ^ t[(x >> (8 * i)) as u8 as usize];
+        }
+        z
+    }
+
+    /// Absorbs `data` zero-padded to whole blocks into the accumulator.
+    fn absorb(&self, y: &mut u128, data: &[u8]) {
+        let mut chunks = data.chunks_exact(16);
+        for chunk in &mut chunks {
+            let mut block = [0u8; 16];
+            block.copy_from_slice(chunk);
+            *y = self.mul(*y ^ u128::from_be_bytes(block));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut block = [0u8; 16];
+            block[..rest.len()].copy_from_slice(rest);
+            *y = self.mul(*y ^ u128::from_be_bytes(block));
+        }
+    }
+
+    fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> u128 {
+        let mut y = 0u128;
+        self.absorb(&mut y, aad);
+        self.absorb(&mut y, ciphertext);
+        let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
+        self.mul(y ^ lengths)
+    }
+}
+
+/// Four big-endian column words as one big-endian block.
+#[inline]
+fn words_to_u128([a, b, c, d]: [u32; 4]) -> u128 {
+    (u128::from(a) << 96) | (u128::from(b) << 64) | (u128::from(c) << 32) | u128::from(d)
 }
 
 /// AES-128-GCM authenticated encryption with a 96-bit nonce and 128-bit tag.
@@ -196,7 +280,7 @@ fn ghash(h: u128, aad: &[u8], ciphertext: &[u8]) -> u128 {
 #[derive(Clone)]
 pub struct AesGcm {
     cipher: Aes128,
-    h: u128,
+    ghash: GhashKey,
 }
 
 impl fmt::Debug for AesGcm {
@@ -209,45 +293,101 @@ impl AesGcm {
     /// Creates a GCM instance from a 128-bit key.
     pub fn new(key: &[u8; 16]) -> Self {
         let cipher = Aes128::new(key);
-        let mut h_block = [0u8; 16];
-        cipher.encrypt_block(&mut h_block);
-        AesGcm { cipher, h: u128::from_be_bytes(h_block) }
+        let h = words_to_u128(cipher.encrypt_words([0; 4]));
+        AesGcm { cipher, ghash: GhashKey::new(h) }
     }
 
-    fn counter_block(&self, nonce: &[u8; 12], counter: u32) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[..12].copy_from_slice(nonce);
-        block[12..].copy_from_slice(&counter.to_be_bytes());
-        self.cipher.encrypt_block(&mut block);
-        block
+    /// The keystream block for `counter` under `nonce`, as a `u128`.
+    #[inline]
+    fn keystream(&self, nonce: &[u32; 3], counter: u32) -> u128 {
+        words_to_u128(self.cipher.encrypt_words([nonce[0], nonce[1], nonce[2], counter]))
     }
 
-    fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
-        for (i, chunk) in data.chunks_mut(16).enumerate() {
-            let ks = self.counter_block(nonce, 2 + i as u32);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+    fn nonce_words(nonce: &[u8; 12]) -> [u32; 3] {
+        let w = |i: usize| u32::from_be_bytes([nonce[i], nonce[i + 1], nonce[i + 2], nonce[i + 3]]);
+        [w(0), w(4), w(8)]
+    }
+
+    /// CTR mode from counter 2 (counter 1 masks the tag).
+    fn ctr_xor(&self, nonce: &[u32; 3], data: &mut [u8]) {
+        let mut counter = 2u32;
+        let mut chunks = data.chunks_exact_mut(16);
+        for chunk in &mut chunks {
+            let mut block = [0u8; 16];
+            block.copy_from_slice(chunk);
+            let out = u128::from_be_bytes(block) ^ self.keystream(nonce, counter);
+            chunk.copy_from_slice(&out.to_be_bytes());
+            counter = counter.wrapping_add(1);
+        }
+        let rest = chunks.into_remainder();
+        if !rest.is_empty() {
+            let ks = self.keystream(nonce, counter).to_be_bytes();
+            for (b, k) in rest.iter_mut().zip(ks) {
                 *b ^= k;
             }
         }
     }
 
-    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let s = ghash(self.h, aad, ciphertext);
-        let j0 = self.counter_block(nonce, 1);
-        (s ^ u128::from_be_bytes(j0)).to_be_bytes()
+    fn tag(&self, nonce: &[u32; 3], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+        (self.ghash.ghash(aad, ciphertext) ^ self.keystream(nonce, 1)).to_be_bytes()
+    }
+
+    /// Encrypts `buf` in place and returns the detached 16-byte tag,
+    /// authenticating `aad` as well. The ciphertext and tag are those
+    /// of [`seal`](AesGcm::seal).
+    ///
+    /// Reusing a `(key, nonce)` pair destroys confidentiality; callers in
+    /// this workspace derive nonces from monotonic counters.
+    pub fn seal_detached(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut [u8]) -> [u8; 16] {
+        let nonce = Self::nonce_words(nonce);
+        self.ctr_xor(&nonce, buf);
+        self.tag(&nonce, aad, buf)
+    }
+
+    /// Encrypts the plaintext in `buf` in place and appends the tag, so
+    /// `buf` ends as `ciphertext || tag`.
+    pub fn seal_in_place(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut Vec<u8>) {
+        let tag = self.seal_detached(nonce, aad, buf);
+        buf.extend_from_slice(&tag);
     }
 
     /// Encrypts `plaintext`, authenticating `aad` as well. Returns
     /// `ciphertext || 16-byte tag`.
-    ///
-    /// Reusing a `(key, nonce)` pair destroys confidentiality; callers in
-    /// this workspace derive nonces from monotonic counters.
     pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        self.ctr_xor(nonce, &mut out);
-        let tag = self.tag(nonce, aad, &out);
-        out.extend_from_slice(&tag);
+        let mut out = Vec::with_capacity(plaintext.len() + 16);
+        out.extend_from_slice(plaintext);
+        self.seal_in_place(nonce, aad, &mut out);
         out
+    }
+
+    /// Verifies `ciphertext || tag` in `buf` (in constant time), then
+    /// drops the tag and decrypts in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] if the tag does not verify (wrong key, nonce,
+    /// AAD, tampered or truncated input); `buf` is then left unchanged.
+    pub fn open_in_place(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+    ) -> Result<(), AuthError> {
+        let Some(body) = buf.len().checked_sub(16) else {
+            return Err(AuthError);
+        };
+        let nonce = Self::nonce_words(nonce);
+        let expected = self.tag(&nonce, aad, &buf[..body]);
+        let mut diff = 0u8;
+        for (a, b) in expected.iter().zip(&buf[body..]) {
+            diff |= a ^ b;
+        }
+        if diff != 0 {
+            return Err(AuthError);
+        }
+        buf.truncate(body);
+        self.ctr_xor(&nonce, buf);
+        Ok(())
     }
 
     /// Decrypts and verifies `ciphertext || tag` produced by [`seal`].
@@ -264,21 +404,8 @@ impl AesGcm {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, AuthError> {
-        if sealed.len() < 16 {
-            return Err(AuthError);
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - 16);
-        let expected = self.tag(nonce, aad, ciphertext);
-        // Constant-time comparison.
-        let mut diff = 0u8;
-        for (a, b) in expected.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
-            return Err(AuthError);
-        }
-        let mut out = ciphertext.to_vec();
-        self.ctr_xor(nonce, &mut out);
+        let mut out = sealed.to_vec();
+        self.open_in_place(nonce, aad, &mut out)?;
         Ok(out)
     }
 }
@@ -320,6 +447,109 @@ mod tests {
             hex::encode(&sealed),
             "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"
         );
+    }
+
+    #[test]
+    fn fips_197_appendix_b_vector() {
+        // FIPS-197 Appendix B: the worked cipher example.
+        let key: [u8; 16] = hex::decode("2b7e151628aed2a6abf7158809cf4f3c")
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let mut block: [u8; 16] = hex::decode("3243f6a8885a308d313198a2e0370734")
+            .unwrap()
+            .try_into()
+            .unwrap();
+        Aes128::new(&key).encrypt_block(&mut block);
+        assert_eq!(hex::encode(block), "3925841d02dc09fbdc118597196a0b32");
+    }
+
+    #[test]
+    fn gcm_nist_test_case_3() {
+        // NIST GCM test case 3: 64 bytes of plaintext, no AAD.
+        let key: [u8; 16] = hex::decode("feffe9928665731c6d6a8f9467308308")
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let nonce: [u8; 12] = hex::decode("cafebabefacedbaddecaf888")
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let plaintext = hex::decode(
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+        )
+        .unwrap();
+        let gcm = AesGcm::new(&key);
+        let sealed = gcm.seal(&nonce, b"", &plaintext);
+        let (ct, tag) = sealed.split_at(sealed.len() - 16);
+        assert_eq!(
+            hex::encode(ct),
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+        );
+        assert_eq!(hex::encode(tag), "4d5c2af327cd64a62cf35abd2ba6fab4");
+        assert_eq!(gcm.open(&nonce, b"", &sealed).unwrap(), plaintext);
+    }
+
+    #[test]
+    fn ghash_table_entries_match_bit_serial_multiply() {
+        for key in [[0u8; 16], [0x5a; 16], *b"table-check-key!"] {
+            let gcm = AesGcm::new(&key);
+            let h = gcm.ghash.table[0x80];
+            let mut h_block = [0u8; 16];
+            gcm.cipher.encrypt_block(&mut h_block);
+            assert_eq!(h, u128::from_be_bytes(h_block), "table[0x80] is H");
+            for n in 0..256u128 {
+                assert_eq!(
+                    gcm.ghash.table[n as usize],
+                    oracle::ghash_mul(n << 120, h),
+                    "table[{n:#04x}]"
+                );
+            }
+            // One full multiply against the oracle, all bytes nonzero.
+            let x = u128::from_be_bytes(*b"0123456789abcdef");
+            assert_eq!(gcm.ghash.mul(x), oracle::ghash_mul(x, h));
+        }
+    }
+
+    #[test]
+    fn matches_oracle_across_block_boundaries() {
+        let key = *b"differential-key";
+        let gcm = AesGcm::new(&key);
+        for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 1065] {
+            let plaintext: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let nonce = [len as u8; 12];
+            let aad = &plaintext[..len.min(20)];
+            let expected = oracle::seal(&key, &nonce, aad, &plaintext);
+            assert_eq!(gcm.seal(&nonce, aad, &plaintext), expected, "len {len}");
+        }
+    }
+
+    #[test]
+    fn in_place_forms_match_allocating_forms() {
+        let gcm = AesGcm::new(&[4u8; 16]);
+        let nonce = [6u8; 12];
+        let plaintext = b"nonce-prefixed slot payload".to_vec();
+        let sealed = gcm.seal(&nonce, b"aad", &plaintext);
+
+        let mut buf = plaintext.clone();
+        gcm.seal_in_place(&nonce, b"aad", &mut buf);
+        assert_eq!(buf, sealed);
+
+        let mut detached = plaintext.clone();
+        let tag = gcm.seal_detached(&nonce, b"aad", &mut detached);
+        assert_eq!([&detached[..], &tag[..]].concat(), sealed);
+
+        // A failed open leaves the buffer as it was.
+        let mut bad = sealed.clone();
+        bad[3] ^= 0x10;
+        let before = bad.clone();
+        assert_eq!(gcm.open_in_place(&nonce, b"aad", &mut bad), Err(AuthError));
+        assert_eq!(bad, before);
+
+        gcm.open_in_place(&nonce, b"aad", &mut buf).unwrap();
+        assert_eq!(buf, plaintext);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Precompiled contracts at addresses 0x1–0x9.
 //!
 //! Implemented: `ecrecover` (0x1), `sha256` (0x2), `identity` (0x4) —
-//! the three that real-world transaction mixes exercise most. The
-//! remaining addresses are treated as empty accounts (documented
-//! substitution in DESIGN.md).
+//! the three that real-world transaction mixes exercise most. The others
+//! ([`is_unimplemented`]) are refused at admission by the static
+//! analyzer when a bundle names them as a callee; [`run`] still treats
+//! them as empty accounts for calls whose target only appears at run
+//! time (documented substitution in DESIGN.md).
 
 use tape_crypto::{secp, sha256};
 use tape_primitives::{Address, B256, U256};
@@ -15,6 +17,13 @@ pub const PRECOMPILE_COUNT: u64 = 9;
 pub fn is_precompile(address: &Address) -> bool {
     let word = address.into_word();
     !word.is_zero() && word <= U256::from(PRECOMPILE_COUNT)
+}
+
+/// Returns `true` for the precompile addresses this interpreter does not
+/// implement (0x3 and 0x5–0x9): running them as empty accounts would
+/// return a wrong answer, so admission rejects bundles that reach them.
+pub fn is_unimplemented(address: &Address) -> bool {
+    is_precompile(address) && !matches!(address.into_word().try_into_u64(), Some(1 | 2 | 4))
 }
 
 /// Output of a precompile run.
@@ -30,8 +39,8 @@ pub struct PrecompileOutput {
 
 /// Executes the precompile at `address`.
 ///
-/// Unimplemented precompile addresses behave as empty accounts: success,
-/// no output, no gas beyond the call itself.
+/// Unimplemented precompile addresses ([`is_unimplemented`]) behave as
+/// empty accounts: success, no output, no gas beyond the call itself.
 pub fn run(address: &Address, input: &[u8], gas_limit: u64) -> PrecompileOutput {
     match address.into_word().try_into_u64() {
         Some(1) => ecrecover(input, gas_limit),
@@ -114,6 +123,13 @@ mod tests {
         assert!(!is_precompile(&precompile_addr(0)));
         assert!(!is_precompile(&precompile_addr(10)));
         assert!(!is_precompile(&Address::from_low_u64(0xdead)));
+    }
+
+    #[test]
+    fn unimplemented_set_is_three_and_five_to_nine() {
+        let unimplemented: Vec<u64> =
+            (0..12).filter(|&n| is_unimplemented(&precompile_addr(n))).collect();
+        assert_eq!(unimplemented, vec![3, 5, 6, 7, 8, 9]);
     }
 
     #[test]

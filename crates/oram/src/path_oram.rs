@@ -423,26 +423,25 @@ impl OramClient {
     }
 
     fn encrypt_slot(&mut self, id: Option<(&BlockId, u64, &[u8])>) -> Vec<u8> {
-        // Slot plaintext: 1 validity byte + 32-byte id + 8-byte leaf +
-        // payload. The embedded leaf makes eviction position-map-free.
-        let mut plain = Vec::with_capacity(41 + self.config.block_size);
+        // Slot: 12-byte nonce, then the sealed plaintext — 1 validity
+        // byte + 32-byte id + 8-byte leaf + payload — then the tag. The
+        // embedded leaf makes eviction position-map-free. The plaintext
+        // is written straight after the nonce and sealed in place.
+        let nonce = self.next_nonce();
+        let mut slot = Vec::with_capacity(12 + 41 + self.config.block_size + 16);
+        slot.extend_from_slice(&nonce);
         match id {
             Some((id, leaf, data)) => {
-                plain.push(1);
-                plain.extend_from_slice(id.as_bytes());
-                plain.extend_from_slice(&leaf.to_be_bytes());
-                plain.extend_from_slice(data);
+                slot.push(1);
+                slot.extend_from_slice(id.as_bytes());
+                slot.extend_from_slice(&leaf.to_be_bytes());
+                slot.extend_from_slice(data);
             }
-            None => {
-                plain.push(0);
-                plain.extend_from_slice(&[0u8; 40]);
-                plain.extend(std::iter::repeat_n(0u8, self.config.block_size));
-            }
+            None => slot.resize(12 + 41 + self.config.block_size, 0),
         }
-        let nonce = self.next_nonce();
-        let mut out = nonce.to_vec();
-        out.extend(self.cipher.seal(&nonce, b"oram", &plain));
-        out
+        let tag = self.cipher.seal_detached(&nonce, b"oram", &mut slot[12..]);
+        slot.extend_from_slice(&tag);
+        slot
     }
 
     fn decrypt_slot(&self, slot: &[u8]) -> Result<Option<(BlockId, u64, Vec<u8>)>, OramError> {
@@ -454,9 +453,9 @@ impl OramClient {
             return Err(OramError::Tampered);
         }
         let nonce: [u8; 12] = slot[..12].try_into().expect("length checked");
-        let plain = self
-            .cipher
-            .open(&nonce, b"oram", &slot[12..])
+        let mut plain = slot[12..].to_vec();
+        self.cipher
+            .open_in_place(&nonce, b"oram", &mut plain)
             .map_err(|_| OramError::Tampered)?;
         if plain.len() != 41 + self.config.block_size {
             return Err(OramError::Tampered);
@@ -466,7 +465,8 @@ impl OramClient {
         }
         let id = B256::from_slice(&plain[1..33]);
         let leaf = u64::from_be_bytes(plain[33..41].try_into().expect("fixed layout"));
-        Ok(Some((id, leaf, plain[41..].to_vec())))
+        plain.drain(..41);
+        Ok(Some((id, leaf, plain)))
     }
 
     /// Reads a block; `None` if the id was never written.

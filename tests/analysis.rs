@@ -1,9 +1,10 @@
 //! Tier-1 integration tests for the static-analysis admission gate:
 //! bundles whose callees cannot satisfy the Layer-1/Layer-2 budgets are
 //! rejected with a typed error *before* any HEVM cycle or ORAM query is
-//! spent — at the service and at the multi-tenant gateway — while
-//! admissible bundles carry the analyzer's secret-dependency lints in
-//! their reports.
+//! spent — at the service and at the multi-tenant gateway — as are
+//! bundles that reach an unimplemented precompile, while admissible
+//! bundles carry the analyzer's secret-dependency lints in their
+//! reports.
 
 use hardtape::{
     Bundle, Gateway, GatewayConfig, GatewayError, HarDTape, SecurityConfig, ServiceConfig,
@@ -13,6 +14,7 @@ use tape_analysis::AnalysisReject;
 use tape_evm::opcode::op;
 use tape_evm::{Env, Transaction};
 use tape_primitives::{Address, U256};
+use tape_sim::telemetry::CounterId;
 use tape_state::{Account, InMemoryState, StateReader};
 use tape_workload::contracts;
 
@@ -150,4 +152,54 @@ fn admission_verdict_matches_direct_analysis() {
     let token_analysis = tape_analysis::analyze(&genesis.code(&token()));
     assert!(tape_analysis::Limits::default().admit(&token_analysis).is_ok());
     assert!(!token_analysis.lints.is_empty());
+}
+
+/// A contract that CALLs the (unimplemented) MODEXP precompile at 0x5
+/// with a constant target.
+fn modexp_caller_code() -> Vec<u8> {
+    let mut code = Vec::new();
+    for _ in 0..5 {
+        code.extend_from_slice(&[op::PUSH1, 0x00]);
+    }
+    code.extend_from_slice(&[op::PUSH1, 0x05, op::GAS, op::CALL, op::STOP]);
+    code
+}
+
+#[test]
+fn constant_call_to_unimplemented_precompile_is_rejected() {
+    let genesis = genesis(modexp_caller_code());
+    let mut dev = device(&genesis);
+    let mut user = dev.connect_user(b"precompile user").expect("attestation");
+    let before = dev.telemetry().counter(CounterId::AnalysisRejects);
+    let err = dev.pre_execute(&mut user, &hog_bundle()).expect_err("must reject");
+    assert_eq!(
+        err,
+        ServiceError::AnalysisReject {
+            address: hog(),
+            reason: AnalysisReject::UnimplementedPrecompile { address: Address::from_low_u64(5) },
+        }
+    );
+    assert_eq!(dev.telemetry().counter(CounterId::AnalysisRejects), before + 1);
+}
+
+#[test]
+fn transaction_to_unimplemented_precompile_is_rejected() {
+    let genesis = genesis(stack_hog_code());
+    let mut dev = device(&genesis);
+    let mut user = dev.connect_user(b"precompile user").expect("attestation");
+    let ripemd = Address::from_low_u64(3);
+    let bundle = Bundle::single(Transaction {
+        gas_limit: 100_000,
+        ..Transaction::call(alice(), ripemd, b"digest me".to_vec())
+    });
+    let before = dev.telemetry().counter(CounterId::AnalysisRejects);
+    let err = dev.pre_execute(&mut user, &bundle).expect_err("must reject");
+    assert_eq!(
+        err,
+        ServiceError::AnalysisReject {
+            address: ripemd,
+            reason: AnalysisReject::UnimplementedPrecompile { address: ripemd },
+        }
+    );
+    assert_eq!(dev.telemetry().counter(CounterId::AnalysisRejects), before + 1);
 }
